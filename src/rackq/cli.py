@@ -150,8 +150,22 @@ def _witness_json(ws: wa.WitnessStatus) -> dict:
     return out
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"--samples must be non-negative, got {samples}")
+
+
+def _parse_weight(text: str) -> wa.Weight:
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {text!r} has a zero denominator")
+    return wa.Weight(value)
+
+
 def cmd_classify_tau(args):
-    w = wa.Weight(Fraction(args.tau))
+    _check_samples(args.samples)
+    w = _parse_weight(args.tau)
     failures = []
     if args.subgroup is not None:
         desc = wa.parse_descriptor(args.subgroup)
@@ -446,6 +460,7 @@ def cmd_demo(args):
     handler = _DEMOS.get(args.name)
     if handler is None:
         return _error(f"unknown demo {args.name!r}; choose from {sorted(_DEMOS)}"), 2
+    _check_samples(args.samples)
     payload, checks = handler(args.samples, args.seed)
     payload = dict(payload)
     payload["demo"] = args.name

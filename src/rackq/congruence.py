@@ -132,31 +132,32 @@ def format_partition(p: Partition) -> str:
 # ---------------------------------------------------------------------------
 # congruence classification and quotients
 
-def _respects(rows, blk) -> bool:
-    # Naive quadruple sweep; fine at the supported orders.
-    n = len(rows)
-    for a in range(n):
-        for c in range(n):
-            if blk[a] != blk[c]:
-                continue
-            for b in range(n):
-                for d in range(n):
-                    if blk[b] != blk[d]:
-                        continue
-                    if blk[rows[a][b]] != blk[rows[c][d]]:
-                        return False
-    return True
+def _induced_cells(rows, blk, k):
+    """Cells of [x] * [y] := [x*y] on k blocks, row-major in one flat list.
+
+    Returns (cells, None) when the block operation is well defined, which
+    is exactly when the partition respects the operation; otherwise
+    (None, (x, y)) for the first pair whose block product disagrees with
+    an earlier one.
+    """
+    cells = [-1] * (k * k)
+    for x, row in enumerate(rows):
+        base = blk[x] * k
+        for y, xy in enumerate(row):
+            i = base + blk[y]
+            v = blk[xy]
+            c = cells[i]
+            if c < 0:
+                cells[i] = v
+            elif c != v:
+                return None, (x, y)
+    return cells, None
 
 
-def classify_relation(r: Table, p: Partition) -> CongruenceClass:
-    """Test the congruence condition for both rack operations, exhaustively
-    over quadruples a ~ c, b ~ d."""
-    if p.order != r.order:
-        raise ValueError(f"partition order {p.order} != rack order {r.order}")
-    if not validate(r).is_rack:
-        raise ValueError("not a rack")
-    right = _respects(r.rows, p.block_of)
-    left = _respects(inverse_table(r).rows, p.block_of)
+def _classify(rows, inv_rows, p: Partition) -> CongruenceClass:
+    blk, k = p.block_of, p.num_blocks
+    right = _induced_cells(rows, blk, k)[1] is None
+    left = _induced_cells(inv_rows, blk, k)[1] is None
     if right and left:
         return CongruenceClass.BOTH
     if right:
@@ -166,27 +167,38 @@ def classify_relation(r: Table, p: Partition) -> CongruenceClass:
     return CongruenceClass.NEITHER
 
 
+def _rack_tables(r: Table):
+    """Rows of r and of its inverse operation; ValueError unless r is a rack."""
+    if not validate(r).is_rack:
+        raise ValueError("not a rack")
+    return r.rows, inverse_table(r).rows
+
+
+def classify_relation(r: Table, p: Partition) -> CongruenceClass:
+    """Test the congruence condition for both rack operations.
+
+    A partition respects an operation exactly when the block operation
+    [x] * [y] := [x*y] is well defined, which one pass over the n^2
+    products decides.
+    """
+    if p.order != r.order:
+        raise ValueError(f"partition order {p.order} != rack order {r.order}")
+    return _classify(*_rack_tables(r), p)
+
+
 def try_induced_table(m: Table, p: Partition):
     """Attempt [x] * [y] = [x*y] on blocks.
 
     Returns (table, None) when well defined, else (None, (a, b, c, d))
     with a ~ c, b ~ d but a*b and c*d in different blocks.
     """
-    blk = p.block_of
-    k = p.num_blocks
-    cell = [[None] * k for _ in range(k)]
-    setter = [[None] * k for _ in range(k)]
-    for x in range(m.order):
-        for y in range(m.order):
-            v = blk[m.rows[x][y]]
-            bx, by = blk[x], blk[y]
-            if cell[bx][by] is None:
-                cell[bx][by] = v
-                setter[bx][by] = (x, y)
-            elif cell[bx][by] != v:
-                a, b = setter[bx][by]
-                return None, (a, b, x, y)
-    return Table(tuple(tuple(row) for row in cell)), None
+    blk, k = p.block_of, p.num_blocks
+    cells, conflict = _induced_cells(m.rows, blk, k)
+    if conflict is not None:
+        c, d = conflict
+        # the cell was first set by the least member of each block
+        return None, (blk.index(blk[c]), blk.index(blk[d]), c, d)
+    return Table(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k))), None
 
 
 @dataclass(frozen=True)
@@ -218,7 +230,8 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
         raise ValueError(
             f"order {r.order} > {MAX_CONGRUENCE_ORDER}: partition count is Bell-number growth"
         )
-    return [(p, classify_relation(r, p)) for p in partitions(r.order)]
+    rows, inv_rows = _rack_tables(r)
+    return [(p, _classify(rows, inv_rows, p)) for p in partitions(r.order)]
 
 
 def congruences_report(r: Table) -> list[dict]:

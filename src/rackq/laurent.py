@@ -253,8 +253,12 @@ def submodule_relation(m: PrincipalSubmodule, f: LaurentPoly, g: LaurentPoly) ->
 # text syntax and sampling
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse a signed monomial list such as "t^2 - 3 + 2t^-1"."""
-    s = text.replace(" ", "")
+    """Parse a signed monomial list such as "t^2 - 3 + 2t^-1".
+
+    Terms are joined by + or -; whitespace may surround an operator but
+    not split a term.
+    """
+    s = text.strip()
     if not s:
         raise ValueError("empty polynomial literal")
     terms: dict[int, int] = {}
@@ -264,6 +268,10 @@ def parse_laurent(text: str) -> LaurentPoly:
         if s[i] in "+-":
             sign = -1 if s[i] == "-" else 1
             i += 1
+            while i < len(s) and s[i].isspace():
+                i += 1
+        elif i > 0:
+            raise ValueError(f"expected + or - before {s[i:]!r} in {text!r}")
         j = i
         while j < len(s) and s[j].isdigit():
             j += 1
@@ -284,9 +292,13 @@ def parse_laurent(text: str) -> LaurentPoly:
                 i = k
         elif has_coeff:
             exp = 0
+        elif i == len(s):
+            raise ValueError(f"missing term at the end of {text!r}")
         else:
             raise ValueError(f"unexpected character {s[i]!r} in {text!r}")
         terms[exp] = terms.get(exp, 0) + sign * coeff
+        while i < len(s) and s[i].isspace():
+            i += 1
     return LaurentPoly(terms)
 
 

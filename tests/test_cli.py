@@ -197,6 +197,25 @@ def test_classify_tau_rejects_trivial_and_zero(capsys):
     assert code == 2
 
 
+def test_classify_tau_rejects_zero_denominator(capsys):
+    code, doc = run(capsys, "classify-tau", "1/0")
+    assert code == 2
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert any("zero denominator" in d for d in doc["diagnostics"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-tau", "2/3", "--samples", "-5"],
+    ["classify-tau", "2/3", "--subgroup", "1:3", "--samples", "-1"],
+    ["demo", "b_ell", "--samples", "-5"],
+])
+def test_negative_samples_are_rejected(argv, capsys):
+    code, doc = run(capsys, *argv)
+    assert code == 2
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert any("--samples must be non-negative" in d for d in doc["diagnostics"])
+
+
 @pytest.mark.parametrize("name", ["b_ell", "b_quandle", "b0", "alexander"])
 def test_demos_pass(name, capsys):
     code, doc = run(capsys, "demo", name, "--samples", "200")

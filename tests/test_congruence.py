@@ -129,6 +129,58 @@ def test_induced_table_conflicts_match_classification():
             assert (conflict is None) == (cls in (CC.BOTH, CC.LEFT_ONLY))
 
 
+def _respects_by_sweep(rows, p):
+    # a ~ c and b ~ d imply a*b ~ c*d, over all quadruples
+    n = len(rows)
+    return all(
+        p.together(rows[a][b], rows[c][d])
+        for a, c in itertools.product(range(n), repeat=2) if p.together(a, c)
+        for b, d in itertools.product(range(n), repeat=2) if p.together(b, d)
+    )
+
+
+def _class_by_sweep(t, p):
+    right = _respects_by_sweep(t.rows, p)
+    left = _respects_by_sweep(tb.inverse_table(t).rows, p)
+    return {
+        (True, True): CC.BOTH,
+        (True, False): CC.RIGHT_ONLY,
+        (False, True): CC.LEFT_ONLY,
+        (False, False): CC.NEITHER,
+    }[right, left]
+
+
+def test_classification_matches_quadruple_sweep():
+    racks = [t for n in (1, 2, 3, 4) for t in tb.enumerate_racks(n)]
+    racks += [tb.dihedral(6), tb.constant_action((1, 2, 0, 4, 3, 5))]
+    for t in racks:
+        census = cg.enumerate_congruences(t)
+        assert [p for p, _ in census] == list(cg.partitions(t.order))
+        for p, cls in census:
+            expected = _class_by_sweep(t, p)
+            assert cls is expected
+            assert cg.classify_relation(t, p) is expected
+
+
+def test_classification_requires_a_rack():
+    not_rack = tb.Table(((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="not a rack"):
+        cg.classify_relation(not_rack, cg.Partition((0, 0)))
+    with pytest.raises(ValueError, match="not a rack"):
+        cg.enumerate_congruences(not_rack)
+
+
+def test_induced_table_conflict_is_the_first_in_row_major_order():
+    # a ~ c, b ~ d with a, b the least members of their blocks, and (c, d)
+    # the first pair in row-major order whose product leaves the block
+    p = cg.Partition((0, 0, 1, 1, 2, 2))
+    table, conflict = cg.try_induced_table(tb.dihedral(6), p)
+    assert table is None
+    assert conflict == (0, 0, 0, 1)
+    table, conflict = cg.try_induced_table(tb.dihedral(6), cg.Partition((0, 1, 0, 1, 0, 1)))
+    assert conflict is None and table == tb.trivial(2)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -69,6 +69,17 @@ def test_parse_errors():
             la.parse_laurent(bad)
 
 
+def test_parse_requires_an_operator_between_terms():
+    for bad in ("1 2", "t^2t", "2 t", "t ^2", "3t t", "1 -", "1 - - 2"):
+        with pytest.raises(ValueError):
+            la.parse_laurent(bad)
+
+
+def test_parse_allows_whitespace_around_operators():
+    assert la.parse_laurent(" - t ") == -T
+    assert la.parse_laurent("2t^3 +t-  4") == lp({3: 2, 1: 1, 0: -4})
+
+
 def test_format_examples():
     assert la.format_laurent(lp({2: 1, 0: -3, -1: 2})) == "t^2 - 3 + 2t^-1"
     assert la.format_laurent(ZERO) == "0"

@@ -169,6 +169,32 @@ def test_enumeration_iso_representatives_are_canonical():
     assert len({t.rows for t in reps}) == len(reps)
 
 
+def _least_relabelling(t):
+    return min(tb.relabel(t, p).rows for p in itertools.permutations(range(t.order)))
+
+
+def test_canonical_form_is_the_least_relabelling():
+    racks = [t for n in (1, 2, 3, 4) for t in tb.enumerate_racks(n)]
+    racks += tb.enumerate_racks(5)[::17]
+    for t in racks:
+        assert tb.canonical_form(t).rows == _least_relabelling(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("quandles_only", [False, True])
+def test_enumeration_matches_column_tuple_filter(n, quandles_only):
+    perms = list(itertools.permutations(range(n)))
+    oracle = []
+    for cols in itertools.product(perms, repeat=n):
+        t = tb.Table(tuple(zip(*cols)))
+        report = tb.validate(t)
+        if report.is_quandle if quandles_only else report.is_rack:
+            oracle.append(t)
+    assert tb.enumerate_racks(n, quandles_only) == sorted(oracle, key=lambda t: t.rows)
+    classes = sorted({_least_relabelling(t) for t in oracle})
+    assert [t.rows for t in tb.enumerate_racks(n, quandles_only, up_to_iso=True)] == classes
+
+
 def test_enumeration_rejects_out_of_range_order():
     with pytest.raises(ValueError):
         tb.enumerate_racks(0)
