@@ -154,17 +154,19 @@ def _induced_cells(rows, blk, k):
     return cells, None
 
 
-def _classify(rows, inv_rows, p: Partition) -> CongruenceClass:
+def _classify(rows, inv_rows, p: Partition):
+    """(class, cells): the classification of p, with the primary block
+    cells when p respects the primary operation (else None)."""
     blk, k = p.block_of, p.num_blocks
-    right = _induced_cells(rows, blk, k)[1] is None
+    cells = _induced_cells(rows, blk, k)[0]
     left = _induced_cells(inv_rows, blk, k)[1] is None
-    if right and left:
-        return CongruenceClass.BOTH
-    if right:
-        return CongruenceClass.RIGHT_ONLY
-    if left:
-        return CongruenceClass.LEFT_ONLY
-    return CongruenceClass.NEITHER
+    if cells is not None:
+        return (CongruenceClass.BOTH if left else CongruenceClass.RIGHT_ONLY), cells
+    return (CongruenceClass.LEFT_ONLY if left else CongruenceClass.NEITHER), None
+
+
+def _cells_table(cells, k: int) -> Table:
+    return Table(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k)))
 
 
 def _rack_tables(r: Table):
@@ -181,9 +183,13 @@ def classify_relation(r: Table, p: Partition) -> CongruenceClass:
     [x] * [y] := [x*y] is well defined, which one pass over the n^2
     products decides.
     """
+    _check_order(r, p)
+    return _classify(*_rack_tables(r), p)[0]
+
+
+def _check_order(r: Table, p: Partition) -> None:
     if p.order != r.order:
         raise ValueError(f"partition order {p.order} != rack order {r.order}")
-    return _classify(*_rack_tables(r), p)
 
 
 def try_induced_table(m: Table, p: Partition):
@@ -198,7 +204,7 @@ def try_induced_table(m: Table, p: Partition):
         c, d = conflict
         # the cell was first set by the least member of each block
         return None, (blk.index(blk[c]), blk.index(blk[d]), c, d)
-    return Table(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k))), None
+    return _cells_table(cells, k), None
 
 
 @dataclass(frozen=True)
@@ -215,12 +221,11 @@ def quotient(r: Table, p: Partition) -> QuotientRack:
     Raises NotACongruenceError carrying the classification when p respects
     at most one operation.
     """
-    cls = classify_relation(r, p)
+    _check_order(r, p)
+    cls, cells = _classify(*_rack_tables(r), p)
     if cls is not CongruenceClass.BOTH:
         raise NotACongruenceError(cls)
-    table, conflict = try_induced_table(r, p)
-    assert conflict is None
-    return QuotientRack(table, p.blocks())
+    return QuotientRack(_cells_table(cells, p.num_blocks), p.blocks())
 
 
 def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
@@ -231,7 +236,7 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
             f"order {r.order} > {MAX_CONGRUENCE_ORDER}: partition count is Bell-number growth"
         )
     rows, inv_rows = _rack_tables(r)
-    return [(p, _classify(rows, inv_rows, p)) for p in partitions(r.order)]
+    return [(p, _classify(rows, inv_rows, p)[0]) for p in partitions(r.order)]
 
 
 def congruences_report(r: Table) -> list[dict]:

@@ -10,6 +10,7 @@ of the left element's coefficient sum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .tables import PRIMARY, INVERSE
@@ -141,27 +142,43 @@ def in_poly_ring(p: LaurentPoly) -> bool:
 
 
 def alexander_op(f: LaurentPoly, g: LaurentPoly, side: str = PRIMARY) -> LaurentPoly:
-    """t*f + (1-t)*g, or the inverse-side formula with 1/t for t."""
+    """t*f + (1-t)*g, or the inverse-side formula with 1/t for t.
+
+    Computed as t^k*f + g - t^k*g with k = 1 or -1: two shifts and two
+    merges, no products."""
     if side == PRIMARY:
-        t = T
+        k = 1
     elif side == INVERSE:
-        t = T_INV
+        k = -1
     else:
         raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
-    return t * f + (ONE - t) * g
+    return f.shifted(k) + g - g.shifted(k)
 
 
 # ---------------------------------------------------------------------------
 # the parity-shift relation and its difference sets
 
+def _parity_constant(total: int) -> int:
+    """The constant difference allowed at an element with coefficient sum
+    total: +1 when total is even, -1 when it is odd."""
+    return -1 if total % 2 else 1
+
+
 def parity_shift_relation(f: LaurentPoly, g: LaurentPoly) -> bool:
     """f ~ g iff g - f lies in Z[t] and its coefficient sum is 0 or 1
-    when f's coefficient sum is even, 0 or -1 when odd."""
-    d = g - f
-    if not in_poly_ring(d):
+    when f's coefficient sum is even, 0 or -1 when odd.
+
+    Decided on the terms without forming g - f: the difference lies in
+    Z[t] exactly when f and g have the same negative-exponent terms, and
+    its coefficient sum is eval_at_one(g) - eval_at_one(f).
+    """
+    a, b = f.terms, g.terms
+    k = bisect_left(a, (0,))  # number of negative exponents in f
+    if a[:k] != b[:k] or (len(b) > k and b[k][0] < 0):
         return False
-    allowed = (0, 1) if eval_at_one(f) % 2 == 0 else (0, -1)
-    return eval_at_one(d) in allowed
+    ef = eval_at_one(f)
+    d = eval_at_one(g) - ef
+    return d == 0 or d == _parity_constant(ef)
 
 
 def in_common_difference_set(p: LaurentPoly) -> bool:
@@ -173,10 +190,14 @@ def in_common_difference_set(p: LaurentPoly) -> bool:
 def in_difference_set(f: LaurentPoly, d: LaurentPoly) -> bool:
     """Membership in the difference set at f: the common set, shifted up
     by the constant 1 when f has even coefficient sum and down by 1 when
-    odd.  Agrees with parity_shift_relation(f, f + d)."""
-    if eval_at_one(f) % 2 == 0:
-        return in_common_difference_set(d) or in_common_difference_set(d - ONE)
-    return in_common_difference_set(d) or in_common_difference_set(d + ONE)
+    odd.  Agrees with parity_shift_relation(f, f + d).
+
+    A constant shift keeps d in or out of Z[t] and moves its coefficient
+    sum by the constant, so no shifted polynomial is built."""
+    if not in_poly_ring(d):
+        return False
+    s = eval_at_one(d)
+    return s == 0 or s == _parity_constant(eval_at_one(f))
 
 
 # ---------------------------------------------------------------------------
@@ -332,5 +353,5 @@ def random_relation_partner(rng, f: LaurentPoly) -> LaurentPoly:
     parity-dependent constant."""
     d = (T - ONE) * random_laurent(rng, 0, 4)
     if rng.random() < 0.5:
-        d = d + LaurentPoly.constant(1 if eval_at_one(f) % 2 == 0 else -1)
+        d = d + LaurentPoly.constant(_parity_constant(eval_at_one(f)))
     return f + d

@@ -90,12 +90,32 @@ def agree_nonneg(a: BiSeq, b: BiSeq) -> bool:
 
     Decidable on this subclass: beyond both words the sequences sit in
     their right tails, so it is enough to compare the window [0, end)
-    plus the tail bits.
+    plus the tail bits.  The window is cut at the start and end of both
+    words into segments on which each sequence is a tail bit or a slice
+    of its word, so the cost is O(|a.word| + |b.word|) however far from
+    0 the words lie.
     """
-    hi = max(0, a.end, b.end)
     if a.right_tail != b.right_tail:
         return False
-    return all(a.bit_at(i) == b.bit_at(i) for i in range(hi))
+    a0, b0 = a.start, b.start
+    a1, b1 = a0 + len(a.word), b0 + len(b.word)
+    # The last cut is max(0, a.end, b.end) and 0 is a cut, so no segment
+    # straddles 0.  On each segment a sequence is its left tail bit, its
+    # right tail bit, or a slice of its word.
+    cuts = sorted((0, a0, a1, b0, b1))
+    for lo, up in zip(cuts, cuts[1:]):
+        if lo < 0 or lo == up:
+            continue
+        x = a.left_tail if up <= a0 else a.right_tail if lo >= a1 else a.word[lo - a0:up - a0]
+        y = b.left_tail if up <= b0 else b.right_tail if lo >= b1 else b.word[lo - b0:up - b0]
+        if x == y:
+            continue
+        if isinstance(x, int) == isinstance(y, int):
+            return False
+        bit, bits = (x, y) if isinstance(x, int) else (y, x)
+        if 1 - bit in bits:
+            return False
+    return True
 
 
 def shift_equivalent(a: BiSeq, b: BiSeq) -> bool:
@@ -150,14 +170,18 @@ class Witnesses:
     spike_left: BiSeq   # 1 at index -1 only
 
 
+_WITNESSES = Witnesses(
+    spike=BiSeq(0, 0, (1,), 0),
+    step=BiSeq(1, 1, (), 0),
+    ones=BiSeq(1, 0, (), 1),
+    zeros=BiSeq(0, 0, (), 0),
+    spike_left=BiSeq(0, -1, (1,), 0),
+)
+
+
 def half_congruence_witnesses() -> Witnesses:
-    return Witnesses(
-        spike=BiSeq(0, 0, (1,), 0),
-        step=BiSeq(1, 1, (), 0),
-        ones=BiSeq(1, 0, (), 1),
-        zeros=BiSeq(0, 0, (), 0),
-        spike_left=BiSeq(0, -1, (1,), 0),
-    )
+    """The named witnesses; one immutable instance shared by all callers."""
+    return _WITNESSES
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +223,11 @@ def embed_normal_form(u: NormalForm) -> BiSeq:
     """Embed into the sequence quandle: a^k and b^k map to the k-fold
     left shifts of spike and step, c maps to ones.  A homomorphism for
     both operations, injective on any bounded power range."""
-    w = half_congruence_witnesses()
     if u.gen == "a":
-        return shift_by(w.spike, u.power)
+        return shift_by(_WITNESSES.spike, u.power)
     if u.gen == "b":
-        return shift_by(w.step, u.power)
-    return w.ones
+        return shift_by(_WITNESSES.step, u.power)
+    return _WITNESSES.ones
 
 
 # ---------------------------------------------------------------------------

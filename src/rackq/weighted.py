@@ -53,6 +53,11 @@ class Weight:
         return 1 / self.value
 
 
+# Largest base m accepted for g * Z[1/m]: the radical is found by trial
+# division up to sqrt(m), about a million steps at this bound.
+MAX_DESCRIPTOR_BASE = 10**12
+
+
 def _radical(m: int) -> int:
     """Product of the distinct prime factors of m (1 for m = 1)."""
     rad = 1
@@ -98,6 +103,9 @@ class SubgroupDescriptor:
                 raise ValueError("scale must be positive")
             if self.m < 1:
                 raise ValueError("denominator base must be >= 1")
+            if self.m > MAX_DESCRIPTOR_BASE:
+                # no value in the message: a huge int may not convert to str
+                raise ValueError(f"denominator base exceeds {MAX_DESCRIPTOR_BASE}")
             object.__setattr__(self, "m", _radical(self.m))
         else:
             object.__setattr__(self, "g", Fraction(1))
@@ -122,11 +130,18 @@ class SubgroupDescriptor:
     def contains(self, x) -> bool:
         """Membership of a rational in the subgroup."""
         x = Fraction(x)
+        return self._contains_pair(x.numerator, x.denominator)
+
+    def _contains_pair(self, num: int, den: int) -> bool:
+        # contains(num/den) for den > 0, reduced or not: (num/den)/g has
+        # denominator den*gn / gcd(num*gd, den*gn) in lowest terms.
         if self.kind == "zero":
-            return x == 0
+            return num == 0
         if self.kind == "all":
             return True
-        return _divides_radically((x / self.g).denominator, self.m)
+        gn, gd = self.g.numerator, self.g.denominator
+        den *= gn
+        return _divides_radically(den // math.gcd(num * gd, den), self.m)
 
     def closed_under(self, rho) -> bool:
         """Whether multiplication by the nonzero rational rho maps the
@@ -144,11 +159,16 @@ class SubgroupDescriptor:
         for scaled descriptors; numerator [-100, 100] over denominator
         [1, 16] for the full group.  Fixed distributions keep the seeded
         suites reproducible."""
+        return Fraction(*self._sample_pair(rng))
+
+    def _sample_pair(self, rng: random.Random) -> tuple[int, int]:
+        # sample() as an unreduced (numerator, positive denominator) pair
         if self.kind == "zero":
-            return Fraction(0)
+            return 0, 1
         if self.kind == "all":
-            return random_rational(rng)
-        return self.g * Fraction(rng.randint(-100, 100), self.m ** rng.randint(0, 4))
+            return _rational_pair(rng)
+        g = self.g
+        return g.numerator * rng.randint(-100, 100), g.denominator * self.m ** rng.randint(0, 4)
 
     def describe(self) -> str:
         if self.kind != "scaled":
@@ -167,14 +187,20 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
     if not sep:
         raise ValueError(f"malformed descriptor: {text!r}")
     try:
-        return SubgroupDescriptor.scaled(Fraction(head), int(tail))
+        g, m = Fraction(head), int(tail)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed descriptor: {text!r}")
+    return SubgroupDescriptor.scaled(g, m)
 
 
 def random_rational(rng: random.Random) -> Fraction:
     """Numerator uniform in [-100, 100], denominator uniform in [1, 16]."""
-    return Fraction(rng.randint(-100, 100), rng.randint(1, 16))
+    return Fraction(*_rational_pair(rng))
+
+
+def _rational_pair(rng: random.Random) -> tuple[int, int]:
+    # random_rational as an unreduced (numerator, denominator) pair
+    return rng.randint(-100, 100), rng.randint(1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +208,17 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def weighted_op(x, y, w: Weight, side: str = PRIMARY) -> Fraction:
     """w*x + (1-w)*y, or the same with 1/w on the inverse side."""
-    if side == PRIMARY:
-        t = w.value
-    elif side == INVERSE:
-        t = w.inverse
-    else:
-        raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+    t = _side_weight(w, side)
     return t * Fraction(x) + (1 - t) * Fraction(y)
+
+
+def _side_weight(w: Weight, side: str) -> Fraction:
+    """The t of t*x + (1-t)*y on the given side: w, or 1/w."""
+    if side == PRIMARY:
+        return w.value
+    if side == INVERSE:
+        return w.inverse
+    raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
 
 
 def _require_nontrivial(w: Weight) -> None:
@@ -254,14 +284,23 @@ def sampled_congruence_check(
     quadruples with a ~ c and b ~ e by construction (differences sampled
     from D) and verifies the products stay in one coset.  Deterministic
     for a given seed."""
+    # Exact arithmetic on unreduced integer pairs: t*x + (1-t)*y is
+    # (tp*xn*yd + (tq-tp)*yn*xd) / (tq*xd*yd) for t = tp/tq, tq > 0.
+    t = _side_weight(w, side)
+    tp, tq = t.numerator, t.denominator
+    sp = tq - tp
+    sample, contains = d._sample_pair, d._contains_pair
     rng = random.Random(seed)
     for _ in range(samples):
-        a = random_rational(rng)
-        b = random_rational(rng)
-        c = a + d.sample(rng)
-        e = b + d.sample(rng)
-        gap = weighted_op(c, e, w, side) - weighted_op(a, b, w, side)
-        if not d.contains(gap):
+        an, ad = _rational_pair(rng)
+        bn, bd = _rational_pair(rng)
+        un, ud = sample(rng)
+        vn, vd = sample(rng)
+        cn, cd = an * ud + un * ad, ad * ud  # c = a + u
+        en, ed = bn * vd + vn * bd, bd * vd  # e = b + v
+        num_ab, den_ab = tp * an * bd + sp * bn * ad, tq * ad * bd
+        num_ce, den_ce = tp * cn * ed + sp * en * cd, tq * cd * ed
+        if not contains(num_ce * den_ab - num_ab * den_ce, den_ab * den_ce):
             return False
     return True
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 (run with ``pytest tests/test_acceptance.py -v -s``).  Exact checks are
-exhaustive; sampled checks are seeded and allow zero failures.  The
-whole suite takes a couple of minutes, most of it in the exhaustive
-difference-set grid of criterion 9.
+exhaustive; sampled checks are seeded and allow zero failures.  Most
+of the suite's time goes to the exhaustive difference-set grid of
+criterion 9.
 """
 
 import itertools

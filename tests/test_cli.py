@@ -205,6 +205,21 @@ def test_classify_tau_rejects_zero_denominator(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["classify-tau", "1000000007/1000000009", "--samples", "0"],
+    ["classify-tau", "2/3", "--subgroup", "1:1000000000000000003"],
+])
+def test_oversized_descriptor_base_is_rejected_in_bounded_time(argv, capsys):
+    import time
+
+    start = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert any("exceeds" in d for d in doc["diagnostics"])
+
+
+@pytest.mark.parametrize("argv", [
     ["classify-tau", "2/3", "--samples", "-5"],
     ["classify-tau", "2/3", "--subgroup", "1:3", "--samples", "-1"],
     ["demo", "b_ell", "--samples", "-5"],

@@ -207,6 +207,30 @@ def test_quotient_error_carries_classification():
     assert info.value.classification is CC.NEITHER
 
 
+def test_quotient_matches_classification_and_induced_table():
+    # quotient builds its table from the classification's primary cells
+    for n in (1, 2, 3, 4):
+        for t in tb.enumerate_racks(n):
+            for p in cg.partitions(n):
+                cls = cg.classify_relation(t, p)
+                if cls is CC.BOTH:
+                    table, conflict = cg.try_induced_table(t, p)
+                    assert conflict is None
+                    q = cg.quotient(t, p)
+                    assert q.table == table and q.blocks == p.blocks()
+                else:
+                    with pytest.raises(cg.NotACongruenceError) as info:
+                        cg.quotient(t, p)
+                    assert info.value.classification is cls
+
+
+def test_quotient_rejects_mismatched_orders_and_non_racks():
+    with pytest.raises(ValueError, match="partition order"):
+        cg.quotient(D3, PARITY)
+    with pytest.raises(ValueError, match="not a rack"):
+        cg.quotient(tb.Table(((0, 1), (1, 0))), cg.Partition((0, 1)))
+
+
 def test_quotient_of_full_congruence_validates():
     for t in tb.enumerate_racks(3):
         source = tb.validate(t)

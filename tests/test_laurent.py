@@ -280,3 +280,67 @@ def test_relation_partner_construction():
     for _ in range(300):
         f = la.random_laurent(rng)
         assert la.parity_shift_relation(f, la.random_relation_partner(rng, f))
+
+
+# ---------------------------------------------------------------------------
+# the term-level kernels against their polynomial-building definitions
+
+def reference_relation(f, g):
+    d = g - f
+    if not la.in_poly_ring(d):
+        return False
+    allowed = (0, 1) if la.eval_at_one(f) % 2 == 0 else (0, -1)
+    return la.eval_at_one(d) in allowed
+
+
+def reference_in_difference_set(f, d):
+    if la.eval_at_one(f) % 2 == 0:
+        return la.in_common_difference_set(d) or la.in_common_difference_set(d - ONE)
+    return la.in_common_difference_set(d) or la.in_common_difference_set(d + ONE)
+
+
+def reference_alexander_op(f, g, side):
+    t = T if side == PRIMARY else T_INV
+    return t * f + (ONE - t) * g
+
+
+def random_sparse(rng, spread=64):
+    exps = rng.sample(range(-spread, spread + 1), rng.randint(0, 8))
+    return lp({e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in exps})
+
+
+def test_kernels_match_reference_on_grid_rows():
+    # every 25th row of the criterion-9 grid against all 3,125 g
+    polys = [
+        lp(dict(zip(range(-2, 3), coeffs)))
+        for coeffs in itertools.product(range(-2, 3), repeat=5)
+    ]
+    for f in polys[::25]:
+        for g in polys:
+            d = g - f
+            assert la.in_difference_set(f, d) == reference_in_difference_set(f, d)
+            assert la.parity_shift_relation(f, g) == reference_relation(f, g)
+
+
+def test_kernels_match_reference_on_sparse_polynomials():
+    rng = random.Random(26)
+    for _ in range(3000):
+        f = random_sparse(rng)
+        # partners sharing f's negative part exercise the equal-prefix path
+        g = f + random_sparse(rng) if rng.random() < 0.5 else random_sparse(rng)
+        if rng.random() < 0.5:
+            g = lp({e: c for e, c in g.terms if e >= 0}) + lp(
+                {e: c for e, c in f.terms if e < 0})
+        d = g - f
+        assert la.in_difference_set(f, d) == reference_in_difference_set(f, d)
+        assert la.parity_shift_relation(f, g) == reference_relation(f, g)
+        for side in (PRIMARY, INVERSE):
+            got = la.alexander_op(f, g, side)
+            assert got.terms == reference_alexander_op(f, g, side).terms
+
+
+@given(poly_terms, poly_terms)
+def test_alexander_op_matches_reference(da, db):
+    f, g = lp(da), lp(db)
+    for side in (PRIMARY, INVERSE):
+        assert la.alexander_op(f, g, side).terms == reference_alexander_op(f, g, side).terms

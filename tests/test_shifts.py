@@ -105,6 +105,36 @@ def test_agree_nonneg_matches_direct_window_comparison(raw_a, raw_b):
     assert sh.agree_nonneg(a, b) == all(a.bit_at(i) == b.bit_at(i) for i in window)
 
 
+def test_agree_nonneg_on_far_off_words_is_fast():
+    import time
+
+    far = sh.parse_biseq("L0:3000000:1:R0")
+    pairs = [
+        (far, far, True),
+        (far, sh.shift(far, RIGHT), False),
+        (far, sh.parse_biseq("L0:3000000:11:R0"), False),
+        # a long word against a far-off one: a single slice comparison
+        (sh.parse_biseq("L0:300000:1:R0"), sh.parse_biseq("L1:-30:" + "0" * 300030 + "1:R0"), True),
+        (sh.parse_biseq("L0:-3000000:1:R0"), W.zeros, True),
+        (sh.parse_biseq("L0:-3000000:1:R1"), W.zeros, False),
+    ]
+    start = time.perf_counter()
+    assert [sh.agree_nonneg(a, b) for a, b, _ in pairs] == [want for _, _, want in pairs]
+    assert time.perf_counter() - start < 0.1
+
+
+@given(raw_biseqs(), raw_biseqs(), st.integers(min_value=-10**6, max_value=10**6))
+def test_agree_nonneg_matches_direct_comparison_after_far_shifts(raw_a, raw_b, k):
+    # the same sequences moved together far from 0: bits at i >= 0 of
+    # the shifted pair are bits at i + k of the original pair
+    a, b = BiSeq(*raw_a), BiSeq(*raw_b)
+    lo = min(a.start, b.start, 0) - 1
+    hi = max(a.end, b.end, 0) + 1
+    expected = a.right_tail == b.right_tail and all(
+        a.bit_at(i) == b.bit_at(i) for i in range(max(lo, k), max(hi, k)))
+    assert sh.agree_nonneg(sh.shift_by(a, k), sh.shift_by(b, k)) == expected
+
+
 def test_relation_examples():
     assert sh.agree_nonneg(W.spike, W.step)
     assert sh.agree_nonneg(W.zeros, W.spike_left)

@@ -324,3 +324,98 @@ def test_positive_rationals_fail_the_inverse_closure():
     assert solution == 0
     assert wa.weighted_op(solution, 2, half) == 1  # unique preimage
     assert not solution > 0
+
+
+# ---------------------------------------------------------------------------
+# the integer-pair kernels against the Fraction definitions
+
+def reference_random_rational(rng):
+    return F(rng.randint(-100, 100), rng.randint(1, 16))
+
+
+def reference_sample(d, rng):
+    if d.kind == "zero":
+        return F(0)
+    if d.kind == "all":
+        return reference_random_rational(rng)
+    return d.g * F(rng.randint(-100, 100), d.m ** rng.randint(0, 4))
+
+
+def reference_contains(d, x):
+    if d.kind == "zero":
+        return x == 0
+    if d.kind == "all":
+        return True
+    return wa._divides_radically((x / d.g).denominator, d.m)
+
+
+def reference_sampled_check(d, w, side, samples, seed):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a = reference_random_rational(rng)
+        b = reference_random_rational(rng)
+        c = a + reference_sample(d, rng)
+        e = b + reference_sample(d, rng)
+        gap = wa.weighted_op(c, e, w, side) - wa.weighted_op(a, b, w, side)
+        if not reference_contains(d, gap):
+            return False
+    return True
+
+
+REFERENCE_WEIGHTS = tuple(wa.Weight(F(s)) for s in ("-1", "1/2", "2", "2/3", "-3/5", "7/4"))
+REFERENCE_DESCRIPTORS = (ZERO, ALL, Z) + tuple(
+    wa.SubgroupDescriptor.scaled(g, m)
+    for g in (F(1), F(2, 7), F(3)) for m in (2, 3, 4, 5, 6, 15)
+)
+
+
+def test_samplers_draw_the_reference_sequences():
+    for d in REFERENCE_DESCRIPTORS:
+        rng, ref = random.Random(8), random.Random(8)
+        for _ in range(200):
+            assert wa.random_rational(rng) == reference_random_rational(ref)
+            assert d.sample(rng) == reference_sample(d, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_sampled_check_matches_the_fraction_reference():
+    outcomes = set()
+    for w in REFERENCE_WEIGHTS:
+        for d in REFERENCE_DESCRIPTORS:
+            for side in (PRIMARY, INVERSE):
+                for seed in range(3):
+                    got = wa.sampled_congruence_check(d, w, side, 100, seed)
+                    assert got == reference_sampled_check(d, w, side, 100, seed), (
+                        w, d, side, seed)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_contains_matches_the_fraction_reference_on_unreduced_pairs():
+    for d in REFERENCE_DESCRIPTORS:
+        for num in range(-30, 31):
+            for den in (1, 2, 4, 6, 9, 14, 35, 45):
+                expected = reference_contains(d, F(num, den))
+                assert d.contains(F(num, den)) == expected
+                assert d._contains_pair(num, den) == expected
+
+
+# ---------------------------------------------------------------------------
+# the descriptor base bound
+
+def test_oversized_descriptor_base_is_rejected_quickly():
+    import time
+
+    start = time.perf_counter()
+    for m in (wa.MAX_DESCRIPTOR_BASE + 1, 10**18 + 3, 1000000007 * 1000000009):
+        with pytest.raises(ValueError, match="exceeds"):
+            wa.SubgroupDescriptor.scaled(1, m)
+    with pytest.raises(ValueError, match="exceeds"):
+        wa.classify_weight(wa.Weight(F(1000000007, 1000000009)))
+    with pytest.raises(ValueError, match="exceeds"):
+        wa.parse_descriptor("1:1000000000000000003")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_descriptor_base_at_the_bound_is_accepted():
+    assert wa.SubgroupDescriptor.scaled(1, wa.MAX_DESCRIPTOR_BASE).m == 10
