@@ -3,96 +3,61 @@ tables, congruence classification and quotients, homomorphisms, and the
 exact infinite structures where an equivalence relation can respect one
 rack operation but not the other."""
 
-from .tables import (
-    PRIMARY,
-    INVERSE,
-    Table,
-    AxiomReport,
-    RackParseError,
-    validate,
-    inverse_table,
-    exponent,
-    mutually_distributive,
-    enumerate_racks,
-    canonical_form,
-    relabel,
-    trivial,
-    constant_action,
-    dihedral,
-    parse_rack,
-    format_rack,
-)
-from .congruence import (
-    CongruenceClass,
-    NotACongruenceError,
-    Partition,
-    QuotientRack,
-    FiniteMap,
-    partitions,
-    parse_partition,
-    format_partition,
-    classify_relation,
-    quotient,
-    try_induced_table,
-    enumerate_congruences,
-    congruences_report,
-    no_half_congruences,
-    is_subrack,
-    all_maps,
-    is_homomorphism,
-    find_homomorphisms,
-    kernel_partition,
-    first_isomorphism_check,
-)
-from .shifts import (
-    LEFT,
-    RIGHT,
-    BiSeq,
-    Witnesses,
-    NormalForm,
-    shift,
-    shift_by,
-    agree_nonneg,
-    shift_equivalent,
-    seq_rack_op,
-    seq_quandle_op,
-    half_congruence_witnesses,
-    normal_form_op,
-    embed_normal_form,
-    parse_biseq,
-    format_biseq,
-    random_biseq,
-    random_agree_partner,
-)
-from .weighted import (
-    Weight,
-    SubgroupDescriptor,
-    WitnessStatus,
-    WeightClassification,
-    parse_descriptor,
-    random_rational,
-    weighted_op,
-    coset_congruence_status,
-    find_half_witness,
-    sampled_congruence_check,
-    classify_weight,
-)
-from .laurent import (
-    POLY_RING,
-    LAURENT_RING,
-    LaurentPoly,
-    PrincipalSubmodule,
-    eval_at_one,
-    in_poly_ring,
-    alexander_op,
-    parity_shift_relation,
-    in_common_difference_set,
-    in_difference_set,
-    submodule_relation,
-    parse_laurent,
-    format_laurent,
-    random_laurent,
-    random_relation_partner,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Each exported name, by its home module.  A name is imported from there
+# the first time it is read (PEP 562), so a command that needs only the
+# finite tables never loads the modules of the infinite structures.
+_EXPORTS = {
+    "tables": (
+        "PRIMARY", "INVERSE", "Table", "AxiomReport", "RackParseError", "validate",
+        "inverse_table", "exponent", "mutually_distributive", "enumerate_racks",
+        "canonical_form", "relabel", "trivial", "constant_action", "dihedral",
+        "parse_rack", "format_rack",
+    ),
+    "congruence": (
+        "CongruenceClass", "NotACongruenceError", "Partition", "QuotientRack",
+        "FiniteMap", "partitions", "parse_partition", "format_partition",
+        "classify_relation", "quotient", "try_induced_table", "enumerate_congruences",
+        "congruences_report", "no_half_congruences", "is_subrack", "all_maps",
+        "is_homomorphism", "find_homomorphisms", "kernel_partition",
+        "first_isomorphism_check",
+    ),
+    "shifts": (
+        "LEFT", "RIGHT", "BiSeq", "Witnesses", "NormalForm", "shift", "shift_by",
+        "agree_nonneg", "shift_equivalent", "seq_rack_op", "seq_quandle_op",
+        "half_congruence_witnesses", "normal_form_op", "embed_normal_form",
+        "parse_biseq", "format_biseq", "random_biseq", "random_agree_partner",
+    ),
+    "weighted": (
+        "Weight", "SubgroupDescriptor", "WitnessStatus", "WeightClassification",
+        "parse_descriptor", "random_rational", "weighted_op", "coset_congruence_status",
+        "find_half_witness", "sampled_congruence_check", "classify_weight",
+    ),
+    "laurent": (
+        "POLY_RING", "LAURENT_RING", "LaurentPoly", "PrincipalSubmodule", "eval_at_one",
+        "in_poly_ring", "alexander_op", "parity_shift_relation",
+        "in_common_difference_set", "in_difference_set", "submodule_relation",
+        "parse_laurent", "format_laurent", "random_laurent", "random_relation_partner",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# from rackq import * binds the exported names and the five modules
+__all__ = [*_HOME, *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from fractions import Fraction
 
+# Only what the table commands need is imported here; the weight and demo
+# commands import the modules of the infinite structures when they run.
 from . import congruence as cg
-from . import laurent as la
-from . import shifts as sh
 from . import tables as tb
-from . import weighted as wa
 from .tables import PRIMARY, INVERSE
 
 
@@ -137,7 +134,7 @@ def cmd_iso_check(args):
     return _ok(payload), 0 if payload["first_isomorphism"] else 1
 
 
-def _witness_json(ws: wa.WitnessStatus) -> dict:
+def _witness_json(ws) -> dict:
     out = {
         "role": ws.role,
         "descriptor": ws.descriptor.describe(),
@@ -155,15 +152,19 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"--samples must be non-negative, got {samples}")
 
 
-def _parse_weight(text: str) -> wa.Weight:
+def _parse_weight(text: str):
+    from . import weighted as wa
+
     try:
-        value = Fraction(text)
+        value = wa.parse_rational(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {text!r} has a zero denominator")
     return wa.Weight(value)
 
 
 def cmd_classify_tau(args):
+    from . import weighted as wa
+
     _check_samples(args.samples)
     w = _parse_weight(args.tau)
     failures = []
@@ -226,6 +227,10 @@ def cmd_classify_tau(args):
 # demos: print the named witnesses and check each asserted (in)equality
 
 def _demo_b_ell(samples: int, seed: int):
+    import random
+
+    from . import shifts as sh
+
     w = sh.half_congruence_witnesses()
     a, b = w.zeros, w.spike_left
     ra, rb = sh.shift(a, sh.RIGHT), sh.shift(b, sh.RIGHT)
@@ -250,6 +255,10 @@ def _demo_b_ell(samples: int, seed: int):
 
 
 def _demo_b_quandle(samples: int, seed: int):
+    import random
+
+    from . import shifts as sh
+
     w = sh.half_congruence_witnesses()
     spike, step, ones = w.spike, w.step, w.ones
     r_spike = sh.shift(spike, sh.RIGHT)
@@ -310,6 +319,8 @@ def _demo_b_quandle(samples: int, seed: int):
 
 
 def _demo_b0(samples: int, seed: int):
+    from . import shifts as sh
+
     window = 20
     elements = [sh.NormalForm("c")]
     for k in range(-window, window + 1):
@@ -367,6 +378,10 @@ def _demo_b0(samples: int, seed: int):
 
 
 def _demo_alexander(samples: int, seed: int):
+    import random
+
+    from . import laurent as la
+
     rng = random.Random(seed)
     cong_ok = True
     for _ in range(samples):
@@ -475,11 +490,13 @@ def cmd_demo(args):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that also accepts negative rationals like "-1/2"
-    as positional values."""
+    or "-2.5e-1" as positional values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

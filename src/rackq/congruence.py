@@ -12,10 +12,9 @@ exist exactly for full congruences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
-from .tables import Table, inverse_table, validate
+from .tables import Record, Table, inverse_table, validate
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -55,16 +54,15 @@ def _rgs(labels) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Partition of {0..n-1}, normalised to a restricted growth string."""
 
-    block_of: tuple[int, ...]
+    __slots__ = ("block_of",)
 
-    def __post_init__(self):
-        if len(self.block_of) == 0:
+    def __init__(self, block_of: tuple[int, ...]):
+        if len(block_of) == 0:
             raise ValueError("partition of the empty set")
-        object.__setattr__(self, "block_of", _rgs(self.block_of))
+        object.__setattr__(self, "block_of", _rgs(block_of))
 
     @classmethod
     def from_blocks(cls, blocks, order: int | None = None) -> "Partition":
@@ -207,12 +205,14 @@ def try_induced_table(m: Table, p: Partition):
     return _cells_table(cells, k), None
 
 
-@dataclass(frozen=True)
-class QuotientRack:
+class QuotientRack(Record):
     """Quotient table on blocks, plus the block membership for reporting."""
 
-    table: Table
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("table", "blocks")
+
+    def __init__(self, table: Table, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def quotient(r: Table, p: Partition) -> QuotientRack:
@@ -273,19 +273,19 @@ def is_subrack(r: Table, subset) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(Record):
     """Function between index sets, as an image array."""
 
-    domain_order: int
-    codomain_order: int
-    image: tuple[int, ...]
+    __slots__ = ("domain_order", "codomain_order", "image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != self.domain_order:
+    def __init__(self, domain_order: int, codomain_order: int, image: tuple[int, ...]):
+        image = tuple(image)
+        object.__setattr__(self, "domain_order", domain_order)
+        object.__setattr__(self, "codomain_order", codomain_order)
+        object.__setattr__(self, "image", image)
+        if len(image) != domain_order:
             raise ValueError("image length != domain order")
-        if any(not 0 <= v < self.codomain_order for v in self.image):
+        if any(not 0 <= v < codomain_order for v in image):
             raise ValueError("image entry outside codomain")
 
     def __call__(self, x: int) -> int:

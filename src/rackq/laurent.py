@@ -11,23 +11,21 @@ of the left element's coefficient sum.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .tables import PRIMARY, INVERSE
+from .tables import PRIMARY, INVERSE, Record
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """Finite integer combination of powers t^e, e in Z, stored as sorted
     (exponent, coefficient) pairs with no zero coefficients."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        raw = self.terms.items() if isinstance(self.terms, dict) else self.terms
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        raw = terms.items() if isinstance(terms, dict) else terms
         acc: dict[int, int] = {}
         for e, c in raw:
             acc[e] = acc.get(e, 0) + c
@@ -203,18 +201,18 @@ def in_difference_set(f: LaurentPoly, d: LaurentPoly) -> bool:
 # ---------------------------------------------------------------------------
 # principal submodules and their coset relations
 
-@dataclass(frozen=True)
-class PrincipalSubmodule:
+class PrincipalSubmodule(Record):
     """Multiples of a fixed nonzero generator by Z[t] (ring="poly") or by
     Z[t, 1/t] (ring="laurent")."""
 
-    generator: LaurentPoly
-    ring: str = POLY_RING
+    __slots__ = ("generator", "ring")
 
-    def __post_init__(self):
-        if self.generator.is_zero:
+    def __init__(self, generator: LaurentPoly, ring: str = POLY_RING):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "ring", ring)
+        if generator.is_zero:
             raise ValueError("generator must be nonzero")
-        if self.ring not in (POLY_RING, LAURENT_RING):
+        if ring not in (POLY_RING, LAURENT_RING):
             raise ValueError(f"ring must be {POLY_RING!r} or {LAURENT_RING!r}")
 
     def contains(self, d: LaurentPoly) -> bool:

@@ -17,16 +17,13 @@ the witnesses for the failure are produced by half_congruence_witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tables import PRIMARY, INVERSE
+from .tables import PRIMARY, INVERSE, Record
 
 LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class BiSeq:
+class BiSeq(Record):
     """Eventually constant sequence over {0,1} indexed by the integers.
 
     bit i is left_tail for i < start, word[i - start] inside the word,
@@ -36,27 +33,30 @@ class BiSeq:
     equal sequences therefore compare equal structurally.
     """
 
-    left_tail: int
-    start: int
-    word: tuple[int, ...]
-    right_tail: int
+    __slots__ = ("left_tail", "start", "word", "right_tail")
 
-    def __post_init__(self):
-        if self.left_tail not in (0, 1) or self.right_tail not in (0, 1):
+    def __init__(self, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
+        if left_tail not in (0, 1) or right_tail not in (0, 1):
             raise ValueError("tail bits must be 0 or 1")
-        if any(b not in (0, 1) for b in self.word):
+        word = tuple(word)
+        if any(b not in (0, 1) for b in word):
             raise ValueError("word bits must be 0 or 1")
-        word = list(self.word)
-        start = self.start
-        while word and word[0] == self.left_tail:
-            word.pop(0)
-            start += 1
-        while word and word[-1] == self.right_tail:
-            word.pop()
-        if not word and self.left_tail == self.right_tail:
+        # the word begins at its first bit other than left_tail
+        try:
+            lo = word.index(1 - left_tail)
+        except ValueError:
+            lo = len(word)
+        hi = len(word)
+        while hi > lo and word[hi - 1] == right_tail:
+            hi -= 1
+        if lo == hi and left_tail == right_tail:
             start = 0
-        object.__setattr__(self, "word", tuple(word))
+        else:
+            start += lo
+        object.__setattr__(self, "left_tail", left_tail)
         object.__setattr__(self, "start", start)
+        object.__setattr__(self, "word", word[lo:hi])
+        object.__setattr__(self, "right_tail", right_tail)
 
     @property
     def end(self) -> int:
@@ -153,8 +153,7 @@ def seq_quandle_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
     return shift(a, LEFT if side == PRIMARY else RIGHT)
 
 
-@dataclass(frozen=True)
-class Witnesses:
+class Witnesses(Record):
     """Named sequences exhibiting the half congruences.
 
     spike and step agree at all indices >= 0 but their right shifts do
@@ -163,11 +162,21 @@ class Witnesses:
     pair for the plain shift rack.
     """
 
-    spike: BiSeq        # 1 at index 0 only
-    step: BiSeq         # 1 exactly at indices <= 0
-    ones: BiSeq         # constant 1
-    zeros: BiSeq        # constant 0
-    spike_left: BiSeq   # 1 at index -1 only
+    __slots__ = ("spike", "step", "ones", "zeros", "spike_left")
+
+    def __init__(
+        self,
+        spike: BiSeq,       # 1 at index 0 only
+        step: BiSeq,        # 1 exactly at indices <= 0
+        ones: BiSeq,        # constant 1
+        zeros: BiSeq,       # constant 0
+        spike_left: BiSeq,  # 1 at index -1 only
+    ):
+        object.__setattr__(self, "spike", spike)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "spike_left", spike_left)
 
 
 _WITNESSES = Witnesses(
@@ -187,8 +196,7 @@ def half_congruence_witnesses() -> Witnesses:
 # ---------------------------------------------------------------------------
 # finitely presented quandle on normal forms
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Element a^k, b^k or c of the quandle presented by generators
     a, b, c and relations a*b = a, b*a = b, c*a = c, c*b = c.
 
@@ -198,14 +206,15 @@ class NormalForm:
     of x under the k-th power of the symmetry at c.
     """
 
-    gen: str
-    power: int = 0
+    __slots__ = ("gen", "power")
 
-    def __post_init__(self):
-        if self.gen not in ("a", "b", "c"):
+    def __init__(self, gen: str, power: int = 0):
+        if gen not in ("a", "b", "c"):
             raise ValueError("generator must be 'a', 'b' or 'c'")
-        if self.gen == "c" and self.power != 0:
+        if gen == "c" and power != 0:
             raise ValueError("c carries no power")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "power", power)
 
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:

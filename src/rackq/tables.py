@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 Perm = tuple[int, ...]
 
@@ -36,18 +36,58 @@ class RackParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Table:
+class Record:
+    """Immutable value record: the fields are the subclass's ``__slots__``.
+
+    A subclass declares its fields in ``__slots__`` and sets each one in
+    its ``__init__`` with ``object.__setattr__``.  Records compare equal
+    only to records of the same class with equal fields, hash as the
+    tuple of their fields, and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which the frozen
+        # __setattr__ leaves as the only way to set a field
+        return self.__class__, self._key(self)
+
+
+class Table(Record):
     """Operation table of a finite magma on {0..n-1}.
 
     Structural well-formedness (square shape, entries in range) is
     enforced at construction; it is distinct from any axiom holding.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(row) for row in rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
@@ -74,19 +114,28 @@ class Table:
         return tuple(row[y] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Exhaustive truth values of the three magma axioms."""
 
-    idempotent: bool
-    right_invertible: bool
-    right_self_distributive: bool
-    is_rack: bool
-    is_quandle: bool
+    __slots__ = (
+        "idempotent", "right_invertible", "right_self_distributive", "is_rack", "is_quandle",
+    )
 
-    def __post_init__(self):
-        assert self.is_rack == (self.right_invertible and self.right_self_distributive)
-        assert self.is_quandle == (self.is_rack and self.idempotent)
+    def __init__(
+        self,
+        idempotent: bool,
+        right_invertible: bool,
+        right_self_distributive: bool,
+        is_rack: bool,
+        is_quandle: bool,
+    ):
+        assert is_rack == (right_invertible and right_self_distributive)
+        assert is_quandle == (is_rack and idempotent)
+        object.__setattr__(self, "idempotent", idempotent)
+        object.__setattr__(self, "right_invertible", right_invertible)
+        object.__setattr__(self, "right_self_distributive", right_self_distributive)
+        object.__setattr__(self, "is_rack", is_rack)
+        object.__setattr__(self, "is_quandle", is_quandle)
 
 
 # ---------------------------------------------------------------------------

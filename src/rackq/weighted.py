@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .congruence import CongruenceClass
-from .tables import PRIMARY, INVERSE
+from .tables import PRIMARY, INVERSE, Record
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Nonzero rational weight; trivial means weight 1 (projection)."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value == 0:
+    def __init__(self, value: Fraction):
+        value = Fraction(value)
+        object.__setattr__(self, "value", value)
+        if value == 0:
             raise ValueError("weight must be nonzero")
 
     @property
@@ -84,32 +83,31 @@ def _divides_radically(den: int, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+class SubgroupDescriptor(Record):
     """Representable additive subgroup of Q: zero, everything, or
     g * Z[1/m].  Only the prime factors of m matter, so m is stored as
     its radical; m = 1 gives the cyclic-like subgroup gZ."""
 
-    kind: str
-    g: Fraction = Fraction(1)
-    m: int = 1
+    __slots__ = ("kind", "g", "m")
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "all", "scaled"):
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        object.__setattr__(self, "g", Fraction(self.g))
-        if self.kind == "scaled":
-            if self.g <= 0:
+    def __init__(self, kind: str, g: Fraction = Fraction(1), m: int = 1):
+        if kind not in ("zero", "all", "scaled"):
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        g = Fraction(g)
+        if kind == "scaled":
+            if g <= 0:
                 raise ValueError("scale must be positive")
-            if self.m < 1:
+            if m < 1:
                 raise ValueError("denominator base must be >= 1")
-            if self.m > MAX_DESCRIPTOR_BASE:
+            if m > MAX_DESCRIPTOR_BASE:
                 # no value in the message: a huge int may not convert to str
                 raise ValueError(f"denominator base exceeds {MAX_DESCRIPTOR_BASE}")
-            object.__setattr__(self, "m", _radical(self.m))
+            m = _radical(m)
         else:
-            object.__setattr__(self, "g", Fraction(1))
-            object.__setattr__(self, "m", 1)
+            g, m = Fraction(1), 1
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def zero(cls) -> "SubgroupDescriptor":
@@ -187,10 +185,36 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
     if not sep:
         raise ValueError(f"malformed descriptor: {text!r}")
     try:
-        g, m = Fraction(head), int(tail)
+        g, m = parse_rational(head), int(tail)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed descriptor: {text!r}")
     return SubgroupDescriptor.scaled(g, m)
+
+
+# Most digits, and largest decimal exponent, that a rational literal may
+# have.  Fraction expands "1e10000000" into a ten-million-digit integer,
+# in time and memory that grow without bound; and past Python's default
+# int-to-str limit of 4,300 digits the value could not be printed anyway.
+MAX_LITERAL_DIGITS = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) for a literal such as "2/3", "-1", "0.25" or "1e-3",
+    rejected with ValueError before conversion when it has more than
+    MAX_LITERAL_DIGITS digits or an exponent beyond that bound.  A zero
+    denominator raises ZeroDivisionError, as in Fraction."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")
+    if (
+        sum(map(str.isdecimal, mantissa)) > MAX_LITERAL_DIGITS
+        or len(exponent) > len(str(MAX_LITERAL_DIGITS))
+        or int(exponent or 0) > MAX_LITERAL_DIGITS
+    ):
+        raise ValueError(
+            f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
+            f"or an exponent beyond {MAX_LITERAL_DIGITS}"
+        )
+    return Fraction(text)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -320,22 +344,34 @@ _CASE_EXPLANATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessStatus:
+class WitnessStatus(Record):
     """One theorem witness subgroup with its verified classification and,
     for each failing side, a verified half-congruence quadruple."""
 
-    role: str
-    descriptor: SubgroupDescriptor
-    status: CongruenceClass
-    half_witnesses: dict = field(default_factory=dict)
+    __slots__ = ("role", "descriptor", "status", "half_witnesses")
+
+    def __init__(
+        self,
+        role: str,
+        descriptor: SubgroupDescriptor,
+        status: CongruenceClass,
+        half_witnesses: dict | None = None,
+    ):
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "status", status)
+        if half_witnesses is None:
+            half_witnesses = {}
+        object.__setattr__(self, "half_witnesses", half_witnesses)
 
 
-@dataclass(frozen=True)
-class WeightClassification:
-    case: int
-    explanation: str
-    witnesses: tuple[WitnessStatus, ...]
+class WeightClassification(Record):
+    __slots__ = ("case", "explanation", "witnesses")
+
+    def __init__(self, case: int, explanation: str, witnesses: tuple[WitnessStatus, ...]):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "explanation", explanation)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def classify_weight(w: Weight) -> WeightClassification:

@@ -169,6 +169,13 @@ def test_classify_tau_accepts_negative_fractions(capsys):
     assert doc["payload"]["case"] == 2 and doc["payload"]["tau"] == "-1/2"
 
 
+def test_classify_tau_accepts_negative_decimals_with_exponents(capsys):
+    _, expected = run(capsys, "classify-tau", "-1/4", "--samples", "0")
+    for literal in ("-2.5e-1", "-25E-2", "-.025e1"):
+        code, doc = run(capsys, "classify-tau", literal, "--samples", "0")
+        assert code == 0 and doc == expected
+
+
 def test_classify_tau_witness_details(capsys):
     code, doc = run(capsys, "classify-tau", "2/3", "--samples", "100")
     assert code == 0
@@ -217,6 +224,22 @@ def test_oversized_descriptor_base_is_rejected_in_bounded_time(argv, capsys):
     assert code == 2
     assert doc["status"] == "error" and doc["payload"] == {}
     assert any("exceeds" in d for d in doc["diagnostics"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-tau", "1e10000000"],
+    ["classify-tau", "-1e-10000000", "--samples", "0"],
+    ["classify-tau", "2/3", "--subgroup", "1e10000000:3"],
+    ["classify-tau", "2/3", "--subgroup", "1E+10000000:3", "--samples", "0"],
+])
+def test_huge_decimal_exponent_is_rejected_in_bounded_time(argv, capsys):
+    import time
+
+    start = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert doc["status"] == "error" and doc["payload"] == {}
 
 
 @pytest.mark.parametrize("argv", [

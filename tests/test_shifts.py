@@ -57,6 +57,47 @@ def test_bit_validation():
         BiSeq(0, 0, (0, 5), 1)
 
 
+def reference_canonical(left, start, word, right):
+    # the bit-by-bit strip the constructor once used, kept as the reference
+    word = list(word)
+    while word and word[0] == left:
+        word.pop(0)
+        start += 1
+    while word and word[-1] == right:
+        word.pop()
+    if not word and left == right:
+        start = 0
+    return left, start, tuple(word), right
+
+
+def test_canonical_form_matches_the_bit_by_bit_strip():
+    rng = random.Random(23)
+    for _ in range(3000):
+        left, right = rng.randint(0, 1), rng.randint(0, 1)
+        # long tail runs at both ends, so both strips have work to do
+        word = (
+            (left,) * rng.randint(0, 12)
+            + tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+            + (right,) * rng.randint(0, 12)
+        )
+        start = rng.randint(-20, 20)
+        a = BiSeq(left, start, word, right)
+        assert (a.left_tail, a.start, a.word, a.right_tail) == reference_canonical(
+            left, start, word, right
+        )
+
+
+def test_long_tail_runs_strip_in_linear_time():
+    import time
+
+    start = time.perf_counter()
+    a = sh.parse_biseq("L0:0:" + "0" * 200000 + "1:R0")
+    b = BiSeq(1, 5, (0,) + (1,) * 200000, 1)
+    assert time.perf_counter() - start < 0.5
+    assert (a.start, a.word) == (200000, (1,))
+    assert (b.start, b.word) == (5, (0,))
+
+
 # ---------------------------------------------------------------------------
 # shifts
 

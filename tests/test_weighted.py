@@ -419,3 +419,38 @@ def test_oversized_descriptor_base_is_rejected_quickly():
 
 def test_descriptor_base_at_the_bound_is_accepted():
     assert wa.SubgroupDescriptor.scaled(1, wa.MAX_DESCRIPTOR_BASE).m == 10
+
+
+# ---------------------------------------------------------------------------
+# the rational literal bound
+
+@pytest.mark.parametrize("text", [
+    "2/3", "-1", "+7", " 5/10 ", "0.25", "-.5", "1e-3", "2.5E+2", "1_000/3",
+    "1e4300", "1e-4300", "1e+0004300", "9" * wa.MAX_LITERAL_DIGITS,
+])
+def test_parse_rational_agrees_with_fraction(text):
+    assert wa.parse_rational(text) == F(text)
+
+
+def test_parse_rational_keeps_the_errors_of_fraction():
+    with pytest.raises(ZeroDivisionError):
+        wa.parse_rational("1/0")
+    for bad in ("", "x", "1/2/3", "1e", "e5"):
+        with pytest.raises(ValueError):
+            wa.parse_rational(bad)
+
+
+def test_parse_rational_rejects_oversized_literals_quickly():
+    import time
+
+    digits = wa.MAX_LITERAL_DIGITS
+    start = time.perf_counter()
+    for text in (
+        "1e10000000", "-1E-10000000", "1e+4301", "1e-0004301", "1e" + "9" * 10**5,
+        "1" * (digits + 1), "1/" + "3" * (digits + 1), "0." + "0" * digits + "1",
+    ):
+        with pytest.raises(ValueError, match="more than"):
+            wa.parse_rational(text)
+    with pytest.raises(ValueError, match="malformed"):
+        wa.parse_descriptor("1e10000000:3")
+    assert time.perf_counter() - start < 2.0
