@@ -490,13 +490,18 @@ def cmd_demo(args):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that also accepts negative rationals like "-1/2"
-    or "-2.5e-1" as positional values."""
+    or "-2.5e-1" as positional values, and answers a usage error with a
+    JSON error document on stdout and exit code 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-\d+(/\d+)?$|^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$"
         )
+
+    def error(self, message):
+        print(json.dumps(_error(f"{self.prog}: {message}"), sort_keys=True))
+        self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .tables import Record, Table, inverse_table, validate
+from .tables import Record, Table, _columns, _distributive, _inverse_rows, inverse_table
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -168,10 +168,15 @@ def _cells_table(cells, k: int) -> Table:
 
 
 def _rack_tables(r: Table):
-    """Rows of r and of its inverse operation; ValueError unless r is a rack."""
-    if not validate(r).is_rack:
+    """Rows of r and of its inverse operation; ValueError unless r is a rack.
+
+    The columns are built once, for both the rack test and the inverse.
+    """
+    rows = r.rows
+    cols, bad = _columns(rows)
+    if bad is not None or not _distributive(rows, cols):
         raise ValueError("not a rack")
-    return r.rows, inverse_table(r).rows
+    return rows, _inverse_rows(cols)
 
 
 def classify_relation(r: Table, p: Partition) -> CongruenceClass:

@@ -175,7 +175,10 @@ class SubgroupDescriptor(Record):
 
 
 def parse_descriptor(text: str) -> SubgroupDescriptor:
-    """Parse "zero", "all", or "g:m" (e.g. "1:3" for Z[1/3], "2/7:3")."""
+    """Parse "zero", "all", or "g:m" (e.g. "1:3" for Z[1/3], "2/7:3").
+
+    A g or m that does not parse raises ValueError("malformed descriptor:
+    <the literal, cut to its first characters>: <the reason>")."""
     text = text.strip()
     if text == "zero":
         return SubgroupDescriptor.zero()
@@ -183,12 +186,32 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
         return SubgroupDescriptor.all()
     head, sep, tail = text.rpartition(":")
     if not sep:
-        raise ValueError(f"malformed descriptor: {text!r}")
+        raise _malformed(text, 'expected "zero", "all" or "g:m"')
+    if _oversized_literal(head):
+        raise _malformed(text, f"g is a {_OVERSIZED}")
     try:
-        g, m = parse_rational(head), int(tail)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed descriptor: {text!r}")
+        g = Fraction(head)
+    except ZeroDivisionError:
+        raise _malformed(text, "g has a zero denominator") from None
+    except ValueError:
+        raise _malformed(text, "g is not a rational literal") from None
+    try:
+        m = int(tail)
+    except ValueError:
+        reason = f"m is not an integer of at most {MAX_LITERAL_DIGITS} digits"
+        raise _malformed(text, reason) from None
     return SubgroupDescriptor.scaled(g, m)
+
+
+# Characters of a malformed literal echoed back in its error message.
+_EXCERPT_CHARS = 40
+
+
+def _malformed(text: str, reason: str) -> ValueError:
+    excerpt = repr(text[:_EXCERPT_CHARS])
+    if len(text) > _EXCERPT_CHARS:
+        excerpt += f"... ({len(text)} characters)"
+    return ValueError(f"malformed descriptor: {excerpt}: {reason}")
 
 
 # Most digits, and largest decimal exponent, that a rational literal may
@@ -196,6 +219,20 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
 # in time and memory that grow without bound; and past Python's default
 # int-to-str limit of 4,300 digits the value could not be printed anyway.
 MAX_LITERAL_DIGITS = 4300
+_OVERSIZED = (
+    f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
+    f"or an exponent beyond {MAX_LITERAL_DIGITS}"
+)
+
+
+def _oversized_literal(text: str) -> bool:
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")
+    return (
+        sum(map(str.isdecimal, mantissa)) > MAX_LITERAL_DIGITS
+        or len(exponent) > len(str(MAX_LITERAL_DIGITS))
+        or int(exponent or 0) > MAX_LITERAL_DIGITS
+    )
 
 
 def parse_rational(text: str) -> Fraction:
@@ -203,17 +240,8 @@ def parse_rational(text: str) -> Fraction:
     rejected with ValueError before conversion when it has more than
     MAX_LITERAL_DIGITS digits or an exponent beyond that bound.  A zero
     denominator raises ZeroDivisionError, as in Fraction."""
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")
-    if (
-        sum(map(str.isdecimal, mantissa)) > MAX_LITERAL_DIGITS
-        or len(exponent) > len(str(MAX_LITERAL_DIGITS))
-        or int(exponent or 0) > MAX_LITERAL_DIGITS
-    ):
-        raise ValueError(
-            f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
-            f"or an exponent beyond {MAX_LITERAL_DIGITS}"
-        )
+    if _oversized_literal(text):
+        raise ValueError(_OVERSIZED)
     return Fraction(text)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from rackq import cli
 from rackq import tables as tb
@@ -282,3 +283,97 @@ def test_pretty_output(rack_file, capsys):
     code = cli.main(["validate", path, "--pretty"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("{\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hom-check", "a.rack", "b.rack", "--map", "-1,0,1"], "argument --map: expected one argument"),
+    (["congruences", "d3.rack", "--partition", "-1,0|1,2"],
+     "argument --partition: expected one argument"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_usage_errors_are_json(argv, reason, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert len(doc["diagnostics"]) == 1 and reason in doc["diagnostics"][0]
+
+
+def test_help_is_still_usage_text(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["hom-check", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rackq hom-check")
+
+
+# Hypothesis fuzz of the free-text arguments: every command answers with
+# one JSON document and exit 0, 1 or 2, never a traceback, in bounded time.
+
+_FUZZ_VALUES = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789/-+.eE:,| x\n", max_size=30),
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.lists(st.integers(-2, 5), max_size=6).map(lambda v: ",".join(map(str, v))),
+    st.lists(st.lists(st.integers(-1, 3), min_size=1, max_size=3), max_size=4).map(
+        lambda blocks: "|".join(",".join(map(str, b)) for b in blocks)
+    ),
+    st.tuples(st.fractions(), st.integers(-3, 10**13)).map(lambda gm: f"{gm[0]}:{gm[1]}"),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_racks(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, table in (("d3", tb.dihedral(3)), ("c2", tb.constant_action((1, 0)))):
+        paths[name] = str(root / f"{name}.rack")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(tb.format_rack(table))
+    return paths
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_FUZZ_VALUES)
+def test_fuzzed_arguments_get_one_json_answer(fuzz_racks, value):
+    import contextlib
+    import io
+    import time
+
+    # argparse answers a help flag, or a prefix of --help, with usage text
+    assume(not value.startswith(("-h", "--h")))
+    d3, c2 = fuzz_racks["d3"], fuzz_racks["c2"]
+    for argv in (
+        ["classify-tau", value, "--samples", "3"],
+        ["classify-tau", "2/3", "--samples", "3", "--subgroup", value],
+        ["congruences", d3, "--partition", value],
+        ["quotient", d3, "--partition", value],
+        ["hom-check", d3, c2, "--map", value],
+        ["iso-check", d3, d3, "--map", value],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert time.perf_counter() - start < 2.0, argv
+        assert code in (0, 1, 2), argv
+        assert err.getvalue() == "", argv
+        doc = json.loads(out.getvalue())
+        assert (doc["status"] == "error") == (code == 2), argv
+
+
+def test_malformed_subgroup_answer_names_the_bound_and_stays_short(capsys):
+    code, doc = run(capsys, "classify-tau", "2/3", "--subgroup", "1e5000:3")
+    assert code == 2
+    assert "more than 4300 digits" in doc["diagnostics"][0]
+    cli.main(["classify-tau", "2/3", "--subgroup", "1" * 100_000 + ":3"])
+    out = capsys.readouterr().out
+    assert len(out) < 300
+    assert json.loads(out)["status"] == "error"

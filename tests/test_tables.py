@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from rackq import congruence as cg
 from rackq import tables as tb
 
 
@@ -195,6 +196,16 @@ def test_enumeration_matches_column_tuple_filter(n, quandles_only):
     assert [t.rows for t in tb.enumerate_racks(n, quandles_only, up_to_iso=True)] == classes
 
 
+@pytest.mark.parametrize("quandles_only", [False, True])
+def test_iso_classes_are_the_canonical_forms_of_the_labelled_racks(quandles_only):
+    # the labelled search followed by one canonical_form per table, as
+    # up_to_iso was computed before the relabelling-orbit walk
+    for n in range(1, tb.MAX_ENUM_ORDER + 1):
+        labelled = tb.enumerate_racks(n, quandles_only)
+        reference = sorted({tb.canonical_form(t) for t in labelled}, key=lambda t: t.rows)
+        assert tb.enumerate_racks(n, quandles_only, up_to_iso=True) == reference
+
+
 def test_enumeration_rejects_out_of_range_order():
     with pytest.raises(ValueError):
         tb.enumerate_racks(0)
@@ -295,6 +306,95 @@ def small_tables(draw):
         )
     )
     return tb.Table(tuple(tuple(r) for r in rows))
+
+
+# ---------------------------------------------------------------------------
+# the column-form axiom kernel against the triple loop it replaced
+
+def _validate_reference(t):
+    n, rows = t.order, t.rows
+    idem = all(rows[x][x] == x for x in range(n))
+    rinv = all(tb.is_permutation(t.column(y)) for y in range(n))
+    rsd = all(
+        rows[rows[x][y]][z] == rows[rows[x][z]][rows[y][z]]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+    return tb.AxiomReport(idem, rinv, rsd, rinv and rsd, rinv and rsd and idem)
+
+
+def _inverse_reference(t):
+    """Rows of the inverse operation, or the error message."""
+    n = t.order
+    inv_cols = []
+    for y in range(n):
+        col = t.column(y)
+        if not tb.is_permutation(col):
+            return f"column {y} is not a permutation; not right invertible"
+        inv_cols.append(tb.invert_perm(col))
+    return tuple(tuple(inv_cols[y][x] for y in range(n)) for x in range(n))
+
+
+def _check_kernel_against_reference(t):
+    report = _validate_reference(t)
+    assert tb.validate(t) == report
+    expected = _inverse_reference(t)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            tb.inverse_table(t)
+        assert str(info.value) == expected
+    else:
+        assert tb.inverse_table(t).rows == expected
+    if report.is_rack:
+        assert cg._rack_tables(t) == (t.rows, expected)
+    else:
+        with pytest.raises(ValueError, match="^not a rack$"):
+            cg._rack_tables(t)
+
+
+def _one_entry_changed(t, k):
+    n = t.order
+    x, y = k % n, (k // n) % n
+    rows = [list(row) for row in t.rows]
+    rows[x][y] = (rows[x][y] + 1 + k % (n - 1)) % n
+    return tb.Table(rows)
+
+
+def _column_entries_swapped(t, k):
+    # columns stay permutations, so right invertibility holds
+    n = t.order
+    x, y = k % n, (k // n) % n
+    rows = [list(row) for row in t.rows]
+    rows[x][y], rows[x - 1][y] = rows[x - 1][y], rows[x][y]
+    return tb.Table(rows)
+
+
+def test_axiom_kernel_on_every_table_of_order_at_most_2():
+    tables = [t for n in (1, 2) for t in _all_tables(n)]
+    assert len(tables) == 17
+    for t in tables:
+        _check_kernel_against_reference(t)
+
+
+def test_axiom_kernel_on_order5_racks_with_one_entry_changed():
+    for k, t in enumerate(tb.enumerate_racks(5)[::5]):
+        _check_kernel_against_reference(t)
+        _check_kernel_against_reference(_one_entry_changed(t, k))
+        _check_kernel_against_reference(_column_entries_swapped(t, k))
+
+
+def test_axiom_kernel_on_order8_racks():
+    cycle = (1, 2, 3, 0, 5, 4, 7, 6)
+    for t in (tb.dihedral(8), tb.trivial(8), tb.constant_action(cycle)):
+        assert _validate_reference(t).is_rack
+        _check_kernel_against_reference(t)
+        for k in (0, 13, 63):
+            _check_kernel_against_reference(_one_entry_changed(t, k))
+            _check_kernel_against_reference(_column_entries_swapped(t, k))
+
+
+@given(small_tables())
+def test_axiom_kernel_on_small_tables(t):
+    _check_kernel_against_reference(t)
 
 
 @given(small_tables())

@@ -454,3 +454,32 @@ def test_parse_rational_rejects_oversized_literals_quickly():
     with pytest.raises(ValueError, match="malformed"):
         wa.parse_descriptor("1e10000000:3")
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1e5000:3", "g is a rational literal with more than 4300 digits or an exponent beyond 4300"),
+    ("1" * 4301 + ":3",
+     "g is a rational literal with more than 4300 digits or an exponent beyond 4300"),
+    ("1/0:3", "g has a zero denominator"),
+    ("x:3", "g is not a rational literal"),
+    ("1:x", "m is not an integer of at most 4300 digits"),
+    ("1:" + "3" * 4301, "m is not an integer of at most 4300 digits"),
+    ("1/3", 'expected "zero", "all" or "g:m"'),
+])
+def test_malformed_descriptor_names_the_reason(text, reason):
+    with pytest.raises(ValueError, match="^malformed descriptor: ") as info:
+        wa.parse_descriptor(text)
+    assert str(info.value).endswith(": " + reason)
+
+
+def test_malformed_descriptor_echoes_a_short_prefix():
+    short = "1e5000:3"
+    with pytest.raises(ValueError) as info:
+        wa.parse_descriptor(short)
+    assert f"malformed descriptor: {short!r}: " in str(info.value)
+    long = "1" * 100_000 + ":3"
+    with pytest.raises(ValueError) as info:
+        wa.parse_descriptor(long)
+    message = str(info.value)
+    assert message.startswith(f"malformed descriptor: {long[:40]!r}... (100002 characters): ")
+    assert len(message) < 200
