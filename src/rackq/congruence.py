@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .tables import Record, Table, _columns, _distributive, _inverse_rows, inverse_table
+from .tables import Record, Table, _rack_tables, excerpt, inverse_table
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -73,7 +73,8 @@ class Partition(Record):
         if order is None:
             order = len(elements)
         if sorted(elements) != list(range(order)):
-            raise ValueError(f"blocks do not partition 0..{order - 1}: {blocks}")
+            shown, more = excerpt(str(blocks))
+            raise ValueError(f"blocks do not partition 0..{order - 1}: {shown}{more}")
         labels = [0] * order
         for i, b in enumerate(blocks):
             for x in b:
@@ -119,7 +120,8 @@ def parse_partition(literal: str, order: int) -> Partition:
     try:
         blocks = [[int(tok) for tok in part.split(",")] for part in literal.split("|")]
     except ValueError:
-        raise ValueError(f"malformed partition literal: {literal!r}")
+        shown, more = excerpt(literal)
+        raise ValueError(f"malformed partition literal: {shown!r}{more}") from None
     return Partition.from_blocks(blocks, order)
 
 
@@ -165,18 +167,6 @@ def _classify(rows, inv_rows, p: Partition):
 
 def _cells_table(cells, k: int) -> Table:
     return Table(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k)))
-
-
-def _rack_tables(r: Table):
-    """Rows of r and of its inverse operation; ValueError unless r is a rack.
-
-    The columns are built once, for both the rack test and the inverse.
-    """
-    rows = r.rows
-    cols, bad = _columns(rows)
-    if bad is not None or not _distributive(rows, cols):
-        raise ValueError("not a rack")
-    return rows, _inverse_rows(cols)
 
 
 def classify_relation(r: Table, p: Partition) -> CongruenceClass:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .tables import PRIMARY, INVERSE, Record
+from .tables import PRIMARY, Record, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -144,12 +144,7 @@ def alexander_op(f: LaurentPoly, g: LaurentPoly, side: str = PRIMARY) -> Laurent
 
     Computed as t^k*f + g - t^k*g with k = 1 or -1: two shifts and two
     merges, no products."""
-    if side == PRIMARY:
-        k = 1
-    elif side == INVERSE:
-        k = -1
-    else:
-        raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+    k = side_sign(side)
     return f.shifted(k) + g - g.shifted(k)
 
 

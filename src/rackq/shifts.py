@@ -17,7 +17,7 @@ the witnesses for the failure are produced by half_congruence_witnesses.
 
 from __future__ import annotations
 
-from .tables import PRIMARY, INVERSE, Record
+from .tables import PRIMARY, Record, side_sign
 
 LEFT = "left"
 RIGHT = "right"
@@ -136,21 +136,14 @@ def shift_equivalent(a: BiSeq, b: BiSeq) -> bool:
 def seq_rack_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
     """Constant action rack of the left shift: the second argument is
     ignored and a is shifted left (primary) or right (inverse)."""
-    if side == PRIMARY:
-        return shift(a, LEFT)
-    if side == INVERSE:
-        return shift(a, RIGHT)
-    raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+    return shift_by(a, side_sign(side))
 
 
 def seq_quandle_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
     """Quandle operation: fix a when it is shift-equivalent to b, else
     shift it left (primary) or right (inverse)."""
-    if side not in (PRIMARY, INVERSE):
-        raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
-    if shift_equivalent(a, b):
-        return a
-    return shift(a, LEFT if side == PRIMARY else RIGHT)
+    k = side_sign(side)
+    return a if shift_equivalent(a, b) else shift_by(a, k)
 
 
 class Witnesses(Record):
@@ -219,13 +212,10 @@ class NormalForm(Record):
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:
     """Multiplication on normal forms."""
-    if side not in (PRIMARY, INVERSE):
-        raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
-    if u.gen == "c":
+    k = side_sign(side)
+    if u.gen == "c" or v.gen != "c":
         return u
-    if v.gen == "c":
-        return NormalForm(u.gen, u.power + (1 if side == PRIMARY else -1))
-    return u
+    return NormalForm(u.gen, u.power + k)
 
 
 def embed_normal_form(u: NormalForm) -> BiSeq:

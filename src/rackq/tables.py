@@ -27,6 +27,27 @@ MAX_ENUM_ORDER = 5
 PRIMARY = "primary"
 INVERSE = "inverse"
 
+# Characters of a malformed literal that an error message echoes back.
+EXCERPT_CHARS = 40
+
+
+def side_sign(side: str) -> int:
+    """1 for the primary operation, -1 for the inverse one."""
+    if side == PRIMARY:
+        return 1
+    if side == INVERSE:
+        return -1
+    raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+
+
+def excerpt(text: str) -> tuple[str, str]:
+    """What an error message echoes of outside input: the first
+    EXCERPT_CHARS characters of text, and a note of its full length when
+    it is longer (else "")."""
+    if len(text) <= EXCERPT_CHARS:
+        return text, ""
+    return text[:EXCERPT_CHARS], f"... ({len(text)} characters)"
+
 
 class RackParseError(ValueError):
     """Malformed ``.rack`` text, with 1-based line/column of the offender."""
@@ -233,13 +254,16 @@ def validate(m: Table) -> AxiomReport:
     return AxiomReport(idem, rinv, rsd, rack, rack and idem)
 
 
-def _require_rack(m: Table) -> None:
-    report = validate(m)
-    if not report.is_rack:
-        raise ValueError(
-            "not a rack (right_invertible=%s, right_self_distributive=%s)"
-            % (report.right_invertible, report.right_self_distributive)
-        )
+def _rack_tables(r: Table):
+    """Rows of r and of its inverse operation; ValueError unless r is a rack.
+
+    The columns are built once, for both the rack test and the inverse.
+    """
+    rows = r.rows
+    cols, bad = _columns(rows)
+    if bad is not None or not _distributive(rows, cols):
+        raise ValueError("not a rack")
+    return rows, _inverse_rows(cols)
 
 
 def inverse_table(m: Table) -> Table:
@@ -260,20 +284,23 @@ def exponent(r: Table) -> int:
     Finite for any finite rack (each symmetry lies in the symmetric group,
     so k <= n! always works).
     """
-    _require_rack(r)
-    return math.lcm(*(perm_order(r.column(y)) for y in range(r.order)))
+    _rack_tables(r)
+    return _exponent(r.rows)
+
+
+def _exponent(rows) -> int:
+    """exponent of raw table rows already known to form a rack."""
+    return math.lcm(*map(perm_order, zip(*rows)))
 
 
 def mutually_distributive(r: Table) -> bool:
     """Whether the primary and inverse operations distribute over each other.
 
     Tests (x*y) *' z = (x *' z) * (y *' z) and (x *' y) * z =
-    (x * z) *' (y * z) over all triples, with *' from inverse_table.
+    (x * z) *' (y * z) over all triples.
     """
-    _require_rack(r)
-    n = r.order
-    t = r.rows
-    u = inverse_table(r).rows
+    t, u = _rack_tables(r)
+    n = len(t)
     for x in range(n):
         for y in range(n):
             for z in range(n):

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .congruence import CongruenceClass
-from .tables import PRIMARY, INVERSE, Record
+from .tables import PRIMARY, INVERSE, Record, excerpt, side_sign
 
 
 class Weight(Record):
@@ -203,15 +203,9 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
     return SubgroupDescriptor.scaled(g, m)
 
 
-# Characters of a malformed literal echoed back in its error message.
-_EXCERPT_CHARS = 40
-
-
 def _malformed(text: str, reason: str) -> ValueError:
-    excerpt = repr(text[:_EXCERPT_CHARS])
-    if len(text) > _EXCERPT_CHARS:
-        excerpt += f"... ({len(text)} characters)"
-    return ValueError(f"malformed descriptor: {excerpt}: {reason}")
+    shown, more = excerpt(text)
+    return ValueError(f"malformed descriptor: {shown!r}{more}: {reason}")
 
 
 # Most digits, and largest decimal exponent, that a rational literal may
@@ -242,7 +236,11 @@ def parse_rational(text: str) -> Fraction:
     denominator raises ZeroDivisionError, as in Fraction."""
     if _oversized_literal(text):
         raise ValueError(_OVERSIZED)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        shown, more = excerpt(text)
+        raise ValueError(f"Invalid literal for Fraction: {shown!r}{more}") from None
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -266,11 +264,7 @@ def weighted_op(x, y, w: Weight, side: str = PRIMARY) -> Fraction:
 
 def _side_weight(w: Weight, side: str) -> Fraction:
     """The t of t*x + (1-t)*y on the given side: w, or 1/w."""
-    if side == PRIMARY:
-        return w.value
-    if side == INVERSE:
-        return w.inverse
-    raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+    return w.value ** side_sign(side)
 
 
 def _require_nontrivial(w: Weight) -> None:
@@ -310,8 +304,7 @@ def find_half_witness(d: SubgroupDescriptor, w: Weight, failing_side: str):
     Tries the canonical quadruple (0, 0, delta, 0) with delta the scale
     of the descriptor first, then widens over small elements of D.
     """
-    if failing_side not in (PRIMARY, INVERSE):
-        raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
+    side_sign(failing_side)  # rejects an unknown side
     status = coset_congruence_status(d, w)
     if not _side_fails(status, failing_side):
         return None
@@ -427,13 +420,15 @@ def classify_weight(w: Weight) -> WeightClassification:
         ("numerator", SubgroupDescriptor.scaled(1, abs(p))),
         ("combined", SubgroupDescriptor.scaled(1, abs(p) * q)),
     )
-    witnesses = []
-    for role, desc in named:
-        status = coset_congruence_status(desc, w)
-        halves = {}
-        for side in (PRIMARY, INVERSE):
-            quad = find_half_witness(desc, w, side)
-            if quad is not None:
-                halves[side] = quad
-        witnesses.append(WitnessStatus(role, desc, status, halves))
-    return WeightClassification(case, _CASE_EXPLANATIONS[case], tuple(witnesses))
+    witnesses = tuple(
+        WitnessStatus(role, desc, coset_congruence_status(desc, w), _half_witnesses(desc, w))
+        for role, desc in named
+    )
+    return WeightClassification(case, _CASE_EXPLANATIONS[case], witnesses)
+
+
+def _half_witnesses(d: SubgroupDescriptor, w: Weight) -> dict:
+    """{side: find_half_witness quadruple} for each side the coset
+    relation of d fails."""
+    quads = {side: find_half_witness(d, w, side) for side in (PRIMARY, INVERSE)}
+    return {side: quad for side, quad in quads.items() if quad is not None}

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -262,6 +263,58 @@ def test_demos_pass(name, capsys):
     assert doc["status"] == "ok"
     assert doc["payload"]["checks"]
     assert all(check["passed"] for check in doc["payload"]["checks"])
+
+
+def test_validate_checks_distributivity_once(rack_file, capsys, monkeypatch):
+    calls = []
+    kernel = tb._distributive
+    monkeypatch.setattr(tb, "_distributive", lambda *a: calls.append(1) or kernel(*a))
+    code, doc = run(capsys, "validate", rack_file("d8.rack", tb.dihedral(8)))
+    assert code == 0 and doc["payload"]["exponent"] == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-tau", "x" * 100_000],
+    ["classify-tau", " " * 100_000 + "1/0"],
+    ["congruences", "{d3}", "--partition", "x," * 50_000],
+    ["congruences", "{d3}", "--partition", ",".join(map(str, range(30_000)))],
+    ["quotient", "{d3}", "--partition", ",".join(map(str, range(30_000)))],
+])
+def test_long_malformed_literals_get_a_short_answer(argv, rack_file, capsys):
+    d3 = rack_file("d3.rack", tb.dihedral(3))
+    code = cli.main([a.replace("{d3}", d3) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out) < 1000
+    doc = json.loads(out)
+    assert doc["status"] == "error" and "characters)" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify-tau", "x" * 40], "Invalid literal for Fraction: '" + "x" * 40 + "'"),
+    (["classify-tau", "1" * 38 + "/0"], "weight '" + "1" * 38 + "/0' has a zero denominator"),
+    (["congruences", "{d3}", "--partition", "0,1|x"], "malformed partition literal: '0,1|x'"),
+    (["quotient", "{d3}", "--partition", "0,1"], "blocks do not partition 0..2: [[0, 1]]"),
+])
+def test_short_malformed_literals_are_echoed_whole(argv, message, rack_file, capsys):
+    d3 = rack_file("d3.rack", tb.dihedral(3))
+    code = cli.main([a.replace("{d3}", d3) for a in argv])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [message]
+
+
+def _golden():
+    path = pathlib.Path(__file__).parent / "data" / "cli_golden.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_demo_and_weight_output_matches_the_recorded_output(capsys):
+    # The JSON of every demo at --samples 0, 1 and 50, and of classify-tau
+    # for six weights with and without each of six subgroups, as recorded
+    # before the demos moved into rackq.demos.
+    for rec in _golden():
+        code = cli.main(rec["argv"])
+        assert (code, capsys.readouterr().out) == (rec["code"], rec["stdout"]), rec["argv"]
 
 
 def test_demo_unknown_name():

@@ -53,7 +53,9 @@ EXPORTED = {
 }
 
 # Modules that no table command needs
-NOT_LOADED = ("rackq.laurent", "rackq.shifts", "rackq.weighted", "fractions", "dataclasses")
+NOT_LOADED = (
+    "rackq.demos", "rackq.laurent", "rackq.shifts", "rackq.weighted", "fractions", "dataclasses",
+)
 
 
 def _loaded_after(code):
@@ -109,6 +111,22 @@ def test_weight_command_loads_the_weighted_module():
         "    cli.main(['classify-tau', '2/3', '--samples', '0'])\n"
     )
     assert _loaded_after(code) == ["fractions", "rackq.weighted"]
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("b_ell", ["rackq.demos", "rackq.shifts"]),
+    ("b_quandle", ["rackq.demos", "rackq.shifts"]),
+    ("b0", ["rackq.demos", "rackq.shifts"]),
+    ("alexander", ["rackq.demos", "rackq.laurent"]),
+])
+def test_each_demo_loads_only_the_module_of_its_structure(name, loaded):
+    code = (
+        "import contextlib, io\n"
+        "import rackq.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['demo', {name!r}, '--samples', '2']) == 0\n"
+    )
+    assert _loaded_after(code) == loaded
 
 
 def test_star_import_binds_the_exported_names():

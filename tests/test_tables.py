@@ -420,3 +420,35 @@ def test_inverse_table_iff_right_invertible(t):
     else:
         with pytest.raises(ValueError):
             tb.inverse_table(t)
+
+
+# ---------------------------------------------------------------------------
+# one side check for every family's operation
+
+def _side_callers():
+    from fractions import Fraction
+
+    from rackq import laurent as la
+    from rackq import shifts as sh
+    from rackq import weighted as wa
+
+    seq, word = sh.BiSeq(0, 0, (1,), 0), sh.NormalForm("a", 1)
+    w, d = wa.Weight(Fraction(2, 3)), wa.SubgroupDescriptor.integers()
+    return {
+        "seq_rack_op": lambda side: sh.seq_rack_op(seq, seq, side),
+        "seq_quandle_op": lambda side: sh.seq_quandle_op(seq, seq, side),
+        "normal_form_op": lambda side: sh.normal_form_op(word, sh.NormalForm("c"), side),
+        "alexander_op": lambda side: la.alexander_op(la.ONE, la.T, side),
+        "_side_weight": lambda side: wa._side_weight(w, side),
+        "find_half_witness": lambda side: wa.find_half_witness(d, w, side),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_side_callers()))
+def test_every_operation_rejects_an_unknown_side_with_one_message(name):
+    call = _side_callers()[name]
+    call(tb.PRIMARY), call(tb.INVERSE)
+    with pytest.raises(ValueError) as info:
+        call("left")
+    assert str(info.value) == "side must be 'primary' or 'inverse'"
+    assert tb.side_sign(tb.PRIMARY) == 1 and tb.side_sign(tb.INVERSE) == -1
