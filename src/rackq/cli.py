@@ -123,13 +123,13 @@ def cmd_iso_check(args):
     f = _parse_map(args.map, r, s)
     if not cg.is_homomorphism(f, r, s):
         return _error("map is not a homomorphism; no kernel or quotient exists"), 2
-    ker = cg.kernel_partition(f, r, s)
+    ker = cg.Partition(f.image)  # the kernel of the homomorphism just checked
     payload = {
         "is_homomorphism": True,
         "kernel_blocks": [list(b) for b in ker.blocks()],
         "kernel_class": cg.classify_relation(r, ker).value,
         "image": sorted(set(f.image)),
-        "first_isomorphism": cg.first_isomorphism_check(f, r, s),
+        "first_isomorphism": cg._first_isomorphism(f, r, s, ker),
     }
     return _ok(payload), 0 if payload["first_isomorphism"] else 1
 

@@ -65,6 +65,14 @@ class Partition(Record):
         object.__setattr__(self, "block_of", _rgs(block_of))
 
     @classmethod
+    def _from_rgs(cls, block_of: tuple[int, ...]) -> "Partition":
+        # Fast path for enumeration: block_of is already a nonempty
+        # restricted growth string.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "block_of", block_of)
+        return obj
+
+    @classmethod
     def from_blocks(cls, blocks, order: int | None = None) -> "Partition":
         """Build from an iterable of blocks of indices; blocks must be
         disjoint and cover {0..order-1}."""
@@ -102,17 +110,18 @@ class Partition(Record):
 
 def partitions(n: int):
     """All partitions of {0..n-1}, in restricted-growth-string order."""
-    a = [0] * n
+    return _completions([0] * n, 1, 0)
 
-    def rec(i: int, top: int):
-        if i == n:
-            yield Partition(tuple(a))
-            return
-        for v in range(top + 2):
-            a[i] = v
-            yield from rec(i + 1, max(top, v))
 
-    yield from rec(1, 0)
+def _completions(a: list[int], i: int, top: int):
+    """The partitions whose growth strings extend a[:i], whose largest
+    label is top, in growth-string order; a[i:] is overwritten."""
+    if i == len(a):
+        yield Partition._from_rgs(tuple(a))
+        return
+    for v in range(top + 2):
+        a[i] = v
+        yield from _completions(a, i + 1, max(top, v))
 
 
 def parse_partition(literal: str, order: int) -> Partition:
@@ -154,15 +163,22 @@ def _induced_cells(rows, blk, k):
     return cells, None
 
 
+# The class of a relation, by whether it respects (primary, inverse).
+_CLASS_OF = {
+    (True, True): CongruenceClass.BOTH,
+    (True, False): CongruenceClass.RIGHT_ONLY,
+    (False, True): CongruenceClass.LEFT_ONLY,
+    (False, False): CongruenceClass.NEITHER,
+}
+
+
 def _classify(rows, inv_rows, p: Partition):
     """(class, cells): the classification of p, with the primary block
     cells when p respects the primary operation (else None)."""
     blk, k = p.block_of, p.num_blocks
     cells = _induced_cells(rows, blk, k)[0]
     left = _induced_cells(inv_rows, blk, k)[1] is None
-    if cells is not None:
-        return (CongruenceClass.BOTH if left else CongruenceClass.RIGHT_ONLY), cells
-    return (CongruenceClass.LEFT_ONLY if left else CongruenceClass.NEITHER), None
+    return _CLASS_OF[cells is not None, left], cells
 
 
 def _cells_table(cells, k: int) -> Table:
@@ -223,15 +239,77 @@ def quotient(r: Table, p: Partition) -> QuotientRack:
     return QuotientRack(_cells_table(cells, p.num_blocks), p.blocks())
 
 
+def _products_by_last(rows):
+    """The products (x, y, x*y) of raw table rows, grouped by
+    max(x, y, x*y): the element whose block completes the cell
+    [x] * [y] = [x*y] of the block operation."""
+    groups = [[] for _ in rows]
+    for x, row in enumerate(rows):
+        for y, xy in enumerate(row):
+            groups[max(x, y, xy)].append((x, y, xy))
+    return groups
+
+
 def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
     """Every partition of the elements with its classification, in
-    restricted-growth-string order."""
+    restricted-growth-string order.
+
+    A depth-first search over restricted growth strings: partitions that
+    share a prefix share the block cells the prefix decides.  When
+    element i gets its block, the products completed at i set or check
+    their cell of each operation's block table.  A conflict fails that
+    operation for the whole subtree, and a subtree failing both is
+    emitted as NEITHER without further checks.
+    """
     if r.order > MAX_CONGRUENCE_ORDER:
         raise ValueError(
             f"order {r.order} > {MAX_CONGRUENCE_ORDER}: partition count is Bell-number growth"
         )
     rows, inv_rows = _rack_tables(r)
-    return [(p, _classify(rows, inv_rows, p)[0]) for p in partitions(r.order)]
+    n = len(rows)
+    right_products, left_products = _products_by_last(rows), _products_by_last(inv_rows)
+    right_cells, left_cells = [-1] * (n * n), [-1] * (n * n)
+    blk = [0] * n
+    out: list[tuple[Partition, CongruenceClass]] = []
+
+    def fill(products, cells, done) -> bool:
+        # Set or check the cells of the products completed at the newest
+        # element; the cells set are appended to done.  False on a conflict.
+        for x, y, xy in products:
+            c = blk[x] * n + blk[y]
+            v = blk[xy]
+            old = cells[c]
+            if old < 0:
+                cells[c] = v
+                done.append(c)
+            elif old != v:
+                return False
+        return True
+
+    def search(i: int, top: int, right: bool, left: bool) -> None:
+        for v in range(top + 2):
+            blk[i] = v
+            right_done, left_done = [], []
+            r_ok = right and fill(right_products[i], right_cells, right_done)
+            l_ok = left and fill(left_products[i], left_cells, left_done)
+            if i + 1 == n:
+                out.append((Partition._from_rgs(tuple(blk)), _CLASS_OF[r_ok, l_ok]))
+            elif r_ok or l_ok:
+                search(i + 1, max(top, v), r_ok, l_ok)
+            else:
+                rest = _completions(blk, i + 1, max(top, v))
+                out.extend((p, CongruenceClass.NEITHER) for p in rest)
+            for c in right_done:
+                right_cells[c] = -1
+            for c in left_done:
+                left_cells[c] = -1
+
+    search(0, -1, True, True)
+    # search refers to itself through its closure cell, a cycle that would
+    # keep the cell tables and the result list allocated until the next
+    # cyclic collection; deleting the name clears the cell and frees them.
+    del search
+    return out
 
 
 def congruences_report(r: Table) -> list[dict]:
@@ -333,11 +411,19 @@ def kernel_partition(f: FiniteMap, r: Table, s: Table) -> Partition:
 def first_isomorphism_check(f: FiniteMap, r: Table, s: Table) -> bool:
     """Check that the quotient by the kernel of f is isomorphic to the
     image of f, via the induced map on blocks."""
-    ker = kernel_partition(f, r, s)
+    return _first_isomorphism(f, r, s, kernel_partition(f, r, s))
+
+
+def _first_isomorphism(f: FiniteMap, r: Table, s: Table, ker: Partition) -> bool:
+    """first_isomorphism_check for an f already known to be a
+    homomorphism, whose kernel is ker."""
     q = quotient(r, ker)
     image = sorted(set(f.image))
-    assert is_subrack(s, image)
     pos = {e: i for i, e in enumerate(image)}
+    # The image is closed under *; a finite set closed under * is closed
+    # under *' as well (each column maps it one-to-one into itself, so
+    # onto it), so it is a subrack.
+    assert all(s.rows[a][b] in pos for a in image for b in image)
     img_rows = tuple(tuple(pos[s.rows[a][b]] for b in image) for a in image)
     # induced map: block of x -> position of f(x); well defined by kernel
     psi = [None] * q.table.order

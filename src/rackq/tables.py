@@ -254,16 +254,29 @@ def validate(m: Table) -> AxiomReport:
     return AxiomReport(idem, rinv, rsd, rack, rack and idem)
 
 
+# The (rows, inverse rows) of the last table _rack_tables passed.  It
+# holds the rows object itself, so no other object can take its identity
+# while it is recorded, and it is replaced as one tuple.
+_last_rack = (None, None)
+
+
 def _rack_tables(r: Table):
     """Rows of r and of its inverse operation; ValueError unless r is a rack.
 
     The columns are built once, for both the rack test and the inverse.
+    The last rack is remembered by the identity of its rows, so calls
+    back to back on one table (every quotient of a census) check it once.
     """
+    global _last_rack
     rows = r.rows
+    last = _last_rack
+    if last[0] is rows:
+        return last
     cols, bad = _columns(rows)
     if bad is not None or not _distributive(rows, cols):
         raise ValueError("not a rack")
-    return rows, _inverse_rows(cols)
+    _last_rack = last = (rows, _inverse_rows(cols))
+    return last
 
 
 def inverse_table(m: Table) -> Table:
@@ -501,29 +514,37 @@ def parse_rack(text: str) -> Table:
             try:
                 order = int(line)
             except ValueError:
-                raise RackParseError(f"line {lineno}: expected order, got {line!r}", lineno)
+                shown, more = excerpt(line)
+                raise RackParseError(
+                    f"line {lineno}: expected order, got {shown!r}{more}", lineno
+                )
             if order <= 0:
                 raise RackParseError(f"line {lineno}: order must be positive", lineno)
+            # int() takes up to 4,300 digits, so messages echo an excerpt
+            order_text = "".join(excerpt(str(order)))
             continue
         if len(rows) == order:
-            raise RackParseError(f"line {lineno}: more than {order} rows", lineno)
+            raise RackParseError(f"line {lineno}: more than {order_text} rows", lineno)
         tokens = line.split()
         if len(tokens) != order:
             raise RackParseError(
-                f"line {lineno}: expected {order} entries, got {len(tokens)}", lineno
+                f"line {lineno}: expected {order_text} entries, got {len(tokens)}", lineno
             )
         entries = []
         for colno, tok in enumerate(tokens, start=1):
             try:
                 e = int(tok)
             except ValueError:
+                shown, more = excerpt(tok)
                 raise RackParseError(
-                    f"line {lineno}, column {colno}: not an integer: {tok!r}",
+                    f"line {lineno}, column {colno}: not an integer: {shown!r}{more}",
                     lineno, colno,
                 )
             if not 0 <= e < order:
+                shown, more = excerpt(str(e))
                 raise RackParseError(
-                    f"line {lineno}, column {colno}: entry out of range 0..{order - 1}: {e}",
+                    f"line {lineno}, column {colno}: entry out of range 0..{order - 1}: "
+                    f"{shown}{more}",
                     lineno, colno,
                 )
             entries.append(e)
@@ -531,7 +552,7 @@ def parse_rack(text: str) -> Table:
     if order is None:
         raise RackParseError("empty input")
     if len(rows) != order:
-        raise RackParseError(f"expected {order} rows, got {len(rows)}")
+        raise RackParseError(f"expected {order_text} rows, got {len(rows)}")
     return Table(tuple(rows))
 
 

@@ -290,6 +290,52 @@ def test_long_malformed_literals_get_a_short_answer(argv, rack_file, capsys):
     assert doc["status"] == "error" and "characters)" in doc["diagnostics"][0]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 100_000 + "\n", "1\n" + "7" * 100_000 + "\n", "9" * 4000 + "\n0\n"],
+    ids=["order-line", "entry-token", "unmet-order"],
+)
+def test_long_malformed_rack_file_gets_a_short_answer(text, tmp_path, capsys):
+    path = tmp_path / "long.rack"
+    path.write_text(text)
+    code = cli.main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out) < 1000
+    doc = json.loads(out)
+    assert doc["status"] == "error" and "characters)" in doc["diagnostics"][0]
+
+
+def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
+    from rackq import congruence as cg
+
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cg, "is_homomorphism")
+    count(cg, "inverse_table")
+    count(tb, "_distributive")
+    d6, d3 = rack_file("d6.rack", tb.dihedral(6)), rack_file("d3.rack", tb.dihedral(3))
+    code = cli.main(["iso-check", d6, d3, "--map", "0,1,2,0,1,2"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"diagnostics": [], "payload": {"first_isomorphism": true, "image": [0, 1, 2], '
+        '"is_homomorphism": true, "kernel_blocks": [[0, 3], [1, 4], [2, 5]], '
+        '"kernel_class": "Both"}, "status": "ok"}\n'
+    )
+    # one map check (it inverts each table once for its assertion) and
+    # one rack check of the domain
+    assert calls == {"is_homomorphism": 1, "inverse_table": 2, "_distributive": 1}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify-tau", "x" * 40], "Invalid literal for Fraction: '" + "x" * 40 + "'"),
     (["classify-tau", "1" * 38 + "/0"], "weight '" + "1" * 38 + "/0' has a zero denominator"),

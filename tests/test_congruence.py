@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rackq import congruence as cg
 from rackq import tables as tb
@@ -49,6 +49,13 @@ def test_partition_literal_roundtrip():
         cg.parse_partition("0,a|1", 3)
     with pytest.raises(ValueError, match="do not partition"):
         cg.parse_partition("0,2|1", 4)
+
+
+def test_partitions_are_built_from_growth_strings_as_given():
+    for n in (1, 2, 3, 4, 5):
+        for p in cg.partitions(n):
+            assert cg._rgs(p.block_of) == p.block_of
+            assert cg.Partition(p.block_of) == p
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))
@@ -160,6 +167,48 @@ def test_classification_matches_quadruple_sweep():
             expected = _class_by_sweep(t, p)
             assert cls is expected
             assert cg.classify_relation(t, p) is expected
+
+
+def _classify_each(t):
+    # the reference: every partition classified on its own by one pass
+    # over the products of each operation
+    rows, inv_rows = tb._rack_tables(t)
+    return [(p, cg._classify(rows, inv_rows, p)[0]) for p in cg.partitions(t.order)]
+
+
+def _cycles(*lengths):
+    # the permutation with consecutive cycles of the given lengths
+    p, start = [], 0
+    for length in lengths:
+        p.extend(start + (i + 1) % length for i in range(length))
+        start += length
+    return tuple(p)
+
+
+FAMILIES = [
+    family
+    for n, cycle_type in ((6, (3, 2, 1)), (7, (4, 3)), (8, (4, 2, 2)))
+    for family in (
+        tb.dihedral(n),
+        tb.trivial(n),
+        tb.constant_action(_cycles(n)),
+        tb.constant_action(_cycles(*cycle_type)),
+    )
+]
+
+
+def test_search_matches_classifying_each_partition():
+    racks = [t for n in (1, 2, 3, 4, 5) for t in tb.enumerate_racks(n)]
+    for t in racks + FAMILIES:
+        assert cg.enumerate_congruences(t) == _classify_each(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_matches_classifying_each_partition_after_relabelling(data):
+    t = data.draw(st.sampled_from(FAMILIES + tb.enumerate_racks(5, up_to_iso=True)))
+    copy = tb.relabel(t, tuple(data.draw(st.permutations(range(t.order)))))
+    assert cg.enumerate_congruences(copy) == _classify_each(copy)
 
 
 def test_classification_requires_a_rack():

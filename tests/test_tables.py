@@ -392,6 +392,40 @@ def test_axiom_kernel_on_order8_racks():
             _check_kernel_against_reference(_column_entries_swapped(t, k))
 
 
+def test_rack_check_runs_once_across_calls_on_one_table(monkeypatch):
+    calls = []
+    kernel = tb._distributive
+    monkeypatch.setattr(tb, "_distributive", lambda *a: calls.append(1) or kernel(*a))
+    t = tb.dihedral(6)
+    census = cg.enumerate_congruences(t)
+    for p, cls in census:
+        assert cg.classify_relation(t, p) is cls
+        if cls is cg.CongruenceClass.BOTH:
+            cg.quotient(t, p)
+    assert len(calls) == 1
+
+
+def test_rack_check_remembers_only_racks():
+    rack, not_rack = tb.dihedral(5), tb.Table(((0, 1), (1, 0)))
+    tables = tb._rack_tables(rack)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^not a rack$"):
+            tb._rack_tables(not_rack)
+        with pytest.raises(ValueError, match="not a rack"):
+            cg.enumerate_congruences(not_rack)
+        with pytest.raises(ValueError, match="not a rack"):
+            cg.quotient(not_rack, cg.Partition((0, 1)))
+    assert tb._rack_tables(rack) == tables
+
+
+def test_rack_check_of_an_equal_table_gives_equal_tables():
+    rack = tb.dihedral(5)
+    twin = tb.Table(rack.rows)
+    assert twin == rack and twin.rows is not rack.rows
+    assert tb._rack_tables(rack) == tb._rack_tables(twin) == (rack.rows, tb.inverse_table(rack).rows)
+    assert cg.enumerate_congruences(twin) == cg.enumerate_congruences(rack)
+
+
 @given(small_tables())
 def test_axiom_kernel_on_small_tables(t):
     _check_kernel_against_reference(t)
