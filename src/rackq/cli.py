@@ -134,9 +134,27 @@ def cmd_iso_check(args):
     return _ok(payload), 0 if payload["first_isomorphism"] else 1
 
 
+# The largest --samples a command takes.  `demo alexander` draws about
+# 20,000 samples in 4.3 s on a 2-vCPU VM, so a run stays under half a
+# minute there.
+MAX_SAMPLES = 100_000
+
+
 def _check_samples(samples: int) -> None:
+    shown, more = tb.excerpt(str(samples))
     if samples < 0:
-        raise ValueError(f"--samples must be non-negative, got {samples}")
+        raise ValueError(f"--samples must be non-negative, got {shown}{more}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {shown}{more}")
+
+
+def _int_arg(text: str) -> int:
+    """argparse type for the integer arguments: int, with a short echo."""
+    try:
+        return int(text)
+    except ValueError:
+        shown, more = tb.excerpt(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown!r}{more}") from None
 
 
 def _parse_weight(text: str):
@@ -246,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_inverse)
 
     p = add_parser("enumerate", help="all racks or quandles of a small order")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_int_arg)
     p.add_argument("--quandles", action="store_true", help="idempotent tables only")
     p.add_argument("--up-to-iso", action="store_true", help="one table per isomorphism class")
     p.set_defaults(handler=cmd_enumerate)
@@ -281,17 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("classify-tau", help="four-way classification of a weight")
     p.add_argument("tau", help='rational literal, e.g. "2/3" or "-1"')
     p.add_argument("--subgroup", help='descriptor: "zero", "all" or "g:m"')
-    p.add_argument("--samples", type=int, default=1000,
-                   help="sampled checks per holding side (0 disables; default 1000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_arg, default=1000,
+                   help="sampled checks per holding side "
+                        "(0 disables; default 1000; at most 100000)")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(handler=cmd_classify_tau)
 
     p = add_parser("demo", help="run a named witness suite")
     # the names of demos.DEMOS, listed here so that parsing does not load it
     p.add_argument("name", choices=("alexander", "b0", "b_ell", "b_quandle"))
-    p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for randomised checks (default 1000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_arg, default=1000,
+                   help="sample count for randomised checks (default 1000; at most 100000)")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(handler=cmd_demo)
 
     return parser

@@ -182,7 +182,7 @@ def _classify(rows, inv_rows, p: Partition):
 
 
 def _cells_table(cells, k: int) -> Table:
-    return Table(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k)))
+    return Table._from_rows(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k)))
 
 
 def classify_relation(r: Table, p: Partition) -> CongruenceClass:

@@ -123,6 +123,14 @@ class Table(Record):
                         f"entry {e!r} at row {x}, column {y} out of range 0..{n - 1}"
                     )
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "Table":
+        # Fast path for tables rackq builds itself: rows is already a
+        # tuple of n tuples of n ints in 0..n-1.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rows", rows)
+        return obj
+
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -288,7 +296,7 @@ def inverse_table(m: Table) -> Table:
     cols, bad = _columns(m.rows)
     if bad is not None:
         raise ValueError(f"column {bad} is not a permutation; not right invertible")
-    return Table(_inverse_rows(cols))
+    return Table._from_rows(_inverse_rows(cols))
 
 
 def exponent(r: Table) -> int:
@@ -328,8 +336,15 @@ def mutually_distributive(r: Table) -> bool:
 # enumeration
 
 def relabel(m: Table, p: Perm) -> Table:
-    """Isomorphic copy of m under the relabelling x -> p[x]."""
-    return Table(_relabel_rows(m.rows, p, invert_perm(p)))
+    """Isomorphic copy of m under the relabelling x -> p[x].
+
+    ValueError unless p is a permutation of 0..n-1, n the order of m.
+    """
+    n = m.order
+    if len(p) != n or any(type(v) is not int for v in p) or not is_permutation(p):
+        shown, more = excerpt(str(p))
+        raise ValueError(f"relabelling {shown}{more} is not a permutation of 0..{n - 1}")
+    return Table._from_rows(_relabel_rows(m.rows, p, invert_perm(p)))
 
 
 def _relabel_rows(rows, p, q):
@@ -337,34 +352,220 @@ def _relabel_rows(rows, p, q):
     return tuple(tuple([p[r[j]] for j in q]) for r in [rows[i] for i in q])
 
 
+def _twin_classes(rows) -> list[int]:
+    """The least element each element is a twin of.
+
+    Elements c and d are twins when the transposition (c d) is an
+    automorphism: (c d) applied to x*y gives (c d)x * (c d)y for all x, y.
+    Conjugating (c d) by (d e) gives (c e), so being twins is an
+    equivalence and one check against each class found so far settles
+    an element.
+    """
+    n = len(rows)
+    cols = list(zip(*rows))
+    least = list(range(n))
+    reps = []
+    for c in range(n):
+        for d in reps:
+            s = list(range(n))
+            s[c], s[d] = d, c
+            at = itemgetter(*s)
+            # column c first: it settles most pairs that are not twins
+            if tuple([s[v] for v in cols[c]]) == at(cols[d]) and all(
+                tuple([s[v] for v in row]) == at(rows[s[x]]) for x, row in enumerate(rows)
+            ):
+                least[c] = d
+                break
+        else:
+            reps.append(c)
+    return least
+
+
+def _take_least_label(x, label, elem, lo_of, cells) -> None:
+    """Give x the least label of its cell (see _canonical_rows); a member
+    left alone in the cell takes the label after it."""
+    lo = lo_of[x]
+    rest = tuple([z for z in cells.pop(lo) if z != x])
+    label[x], elem[lo] = lo, x
+    _place_cell(rest, lo + 1, label, elem, lo_of, cells)
+
+
+def _place_cell(members, lo, label, elem, lo_of, cells) -> None:
+    """Make members the cell whose labels start at lo; one member takes lo."""
+    if len(members) == 1:
+        label[members[0]], elem[lo] = lo, members[0]
+    else:
+        cells[lo] = members
+        for z in members:
+            lo_of[z] = lo
+
+
+def _same_orbit(gens, c, d) -> bool:
+    """Whether the group generated by the permutations gens takes c to d."""
+    seen, todo = {c}, [c]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if y == d:
+                return True
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return False
+
+
 def _canonical_rows(rows):
     """Least relabelling of raw table rows, in tuple order.
 
-    Each candidate is built one row at a time and dropped at the first
-    row that exceeds the same row of the best candidate so far.
+    Entry (i, y) of a relabelling is the label of e_i * e_y, where e_l is
+    the element with label l.  The search reads the relabelled table row
+    by row, left to right, and fixes each label when an entry first
+    depends on it.  The elements without a label lie in cells: each cell
+    owns a run of consecutive labels that its members share out in some
+    order not yet fixed.  At the start one cell holds every element.
+
+    - An entry whose element has no label yet gives it the least label of
+      its cell.  That is the least the entry can be, so it is forced.
+    - When entry (i, y) needs e_y and every member c of its cell gives an
+      e_i * c that has a label, the least table reads those labels in
+      ascending order.  The cell splits into cells of equal entries,
+      with no choice made.
+    - Otherwise, and when row i needs e_i, the search branches on the
+      members of the cell that give the least entry.  For row 0 these
+      are the elements a with a*a = a, when there is one.
+
+    A branch is cut when a row read so far exceeds the same part of the
+    best table found.  An automorphism that fixes every labelled element
+    at a branch point also keeps every cell, so it maps the subtree of
+    one member onto the subtree of its image, with the same tables.  Two
+    kinds are used (McKay and Piperno, Practical graph isomorphism II,
+    2014): the transposition of twins (see _twin_classes), so only one
+    member of each twin class is tried; and, when a branch reads a table
+    equal to the best, the map from its labelling to the best one, which
+    skips later members that it (with those found before) takes to a
+    member already tried.
     """
-    best = None
-    for q in itertools.permutations(range(len(rows))):
-        p = invert_perm(q)  # q maps each new label to its old one
-        cand = []
-        tied = best is not None
-        for old in q:
-            r = rows[old]
-            row = tuple([p[r[j]] for j in q])
-            if tied:
-                b = best[len(cand)]
-                if row > b:
-                    break
-                tied = row == b
-            cand.append(row)
-        else:
-            best = tuple(cand)
-    return best
+    n = len(rows)
+    if n == 1:
+        return rows
+    best = None  # the least table so far, as one flat tuple
+    best_elem = None  # elem of the labelling that gave best
+    cert = []  # entries read on the current branch
+    twin_of = None  # _twin_classes(rows), built at the first real choice
+    auts = []  # automorphisms found by reading a table equal to best
+
+    def search(i, y, tied, label, elem, lo_of, cells):
+        # Read on from entry (i, y); tied: cert equals the start of best.
+        nonlocal best, best_elem, twin_of
+        top = len(cert)
+        try:
+            while True:
+                # read entries until one needs a choice
+                while i < n:
+                    e_i = elem[i]
+                    if e_i < 0:
+                        # row i needs e_i; entry (i, 0) for each member c
+                        # that could take label i is the label of c * e_0
+                        lo, cell = i, cells[i]
+                        ts = [rows[c][c if i == 0 else elem[0]] for c in cell]
+                        break
+                    r = rows[e_i]
+                    while y < n:
+                        c = elem[y]
+                        if c >= 0:
+                            t = r[c]
+                            if label[t] < 0:
+                                _take_least_label(t, label, elem, lo_of, cells)
+                            cert.append(label[t])
+                            y += 1
+                            continue
+                        cell = cells[y]
+                        ts = [r[x] for x in cell]
+                        vals = [label[t] for t in ts]
+                        if -1 in vals:
+                            break
+                        if vals.count(vals[0]) == len(vals):
+                            # one value: the cell stays whole
+                            cert.extend(vals)
+                            y += len(cell)
+                            continue
+                        del cells[y]
+                        pairs = sorted(zip(vals, cell))
+                        cert.extend([v for v, _ in pairs])
+                        for _, group in itertools.groupby(pairs, itemgetter(0)):
+                            members = tuple([x for _, x in group])
+                            _place_cell(members, y, label, elem, lo_of, cells)
+                            y += len(members)
+                    if tied:
+                        p = i * n
+                        now, b = tuple(cert[p:]), best[p:len(cert)]
+                        if now != b:
+                            if now > b:
+                                return
+                            tied = False
+                    if y < n:
+                        lo = y
+                        break
+                    i += 1
+                    y = 0
+                else:
+                    if tied:
+                        auts.append(tuple([best_elem[label[x]] for x in range(n)]))
+                    else:
+                        best, best_elem = tuple(cert), elem[:]
+                    return
+                # the members of the cell of label lo that give the least entry
+                least = n
+                cands = []
+                for c, t in zip(cell, ts):
+                    v = label[t]
+                    if v < 0:
+                        v = lo if t == c else lo + 1 if lo_of[t] == lo else lo_of[t]
+                    if v < least:
+                        least, cands = v, [c]
+                    elif v == least:
+                        cands.append(c)
+                if tied and least > best[len(cert)]:
+                    return
+                if len(cands) > 1:
+                    if twin_of is None:
+                        twin_of = _twin_classes(rows)
+                    cands = list({twin_of[c]: c for c in reversed(cands)}.values())
+                if len(cands) == 1:
+                    _take_least_label(cands[0], label, elem, lo_of, cells)
+                    continue
+                tried = []
+                for c in cands:
+                    if tried and auts:
+                        gens = [g for g in auts if all(g[x] == x for x in elem if x >= 0)]
+                        if gens and any(_same_orbit(gens, c, d) for d in tried):
+                            continue
+                    tried.append(c)
+                    state = label[:], elem[:], lo_of[:], dict(cells)
+                    _take_least_label(c, *state)
+                    search(i, y, tied, *state)
+                    # best now starts with cert
+                    tied = True
+                return
+        finally:
+            del cert[top:]
+
+    search(0, 0, False, [-1] * n, [-1] * n, [0] * n, {0: tuple(range(n))})
+    # search refers to itself through its closure cell; deleting the name
+    # breaks that cycle, so the cyclic collector has nothing to free
+    del search
+    return tuple(best[x * n:(x + 1) * n] for x in range(n))
 
 
 def canonical_form(m: Table) -> Table:
-    """Lexicographically least table among all simultaneous relabellings."""
-    return Table(_canonical_rows(m.rows))
+    """Lexicographically least table among all simultaneous relabellings.
+
+    Found by a depth-first search that fixes one label at a time and
+    branches only where the least table is still open (_canonical_rows),
+    not by trying all n! relabellings.
+    """
+    return Table._from_rows(_canonical_rows(m.rows))
 
 
 def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False) -> list[Table]:
@@ -384,7 +585,8 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     deterministic.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
-        raise ValueError(f"order {n} outside supported range 1..{MAX_ENUM_ORDER}")
+        shown, more = excerpt(str(n))
+        raise ValueError(f"order {shown}{more} outside supported range 1..{MAX_ENUM_ORDER}")
     perms = list(itertools.permutations(range(n)))
     cols: list[Perm | None] = [None] * n
     assigned: list[int] = []  # column indices, in the order they were set
@@ -443,7 +645,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     search()
     if up_to_iso:
         found = _orbit_representatives(found, n)
-    return [Table(rows) for rows in sorted(found)]
+    return [Table._from_rows(rows) for rows in sorted(found)]
 
 
 def _orbit_representatives(found, n: int):

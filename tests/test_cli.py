@@ -256,6 +256,62 @@ def test_negative_samples_are_rejected(argv, capsys):
     assert any("--samples must be non-negative" in d for d in doc["diagnostics"])
 
 
+def _answer(argv):
+    """(exit code, raw stdout, seconds) of one command, usage errors included."""
+    import contextlib
+    import io
+    import time
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "b_ell", "--samples", "100000000"],
+    ["demo", "alexander", "--samples", "100001"],
+    ["classify-tau", "2/3", "--samples", "100000000"],
+    ["classify-tau", "2/3", "--subgroup", "1:3", "--samples", "100001"],
+    ["demo", "b0", "--samples", "9" * 4300],
+])
+def test_samples_above_the_bound_are_rejected_in_bounded_time(argv):
+    code, out, seconds = _answer(argv)
+    assert code == 2 and seconds < 2.0 and len(out) < 1000
+    doc = json.loads(out)
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert doc["diagnostics"] == [f"--samples must be at most {cli.MAX_SAMPLES}, got "
+                                  + "".join(tb.excerpt(argv[-1]))]
+
+
+def test_samples_bound_is_inclusive():
+    assert cli.MAX_SAMPLES == 100_000
+    cli._check_samples(0)
+    cli._check_samples(cli.MAX_SAMPLES)
+    for bad in (-1, cli.MAX_SAMPLES + 1):
+        with pytest.raises(ValueError):
+            cli._check_samples(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "9" * 4300],
+    ["enumerate", "-" + "9" * 4299],
+    ["enumerate", "9" * 5000],
+    ["enumerate", "x" * 100_000],
+    ["demo", "b0", "--seed", "9" * 5000],
+    ["classify-tau", "2/3", "--samples", "-" + "9" * 4299],
+])
+def test_long_integer_arguments_get_a_short_answer(argv):
+    code, out, seconds = _answer(argv)
+    assert code == 2 and seconds < 2.0 and len(out) < 1000
+    doc = json.loads(out)
+    assert doc["status"] == "error" and "characters)" in doc["diagnostics"][0]
+
+
 @pytest.mark.parametrize("name", ["b_ell", "b_quandle", "b0", "alexander"])
 def test_demos_pass(name, capsys):
     code, doc = run(capsys, "demo", name, "--samples", "200")

@@ -219,6 +219,152 @@ def test_relabel_preserves_axioms():
         assert tb.validate(tb.relabel(t, p)).is_quandle
 
 
+@pytest.mark.parametrize("p", [
+    (0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), (0, 1, -1), (0, 1.0, 2), (0, True, 2),
+])
+def test_relabel_rejects_what_is_not_a_permutation_of_the_elements(p):
+    # (0, 0, 1) used to give ((0,0,1),(0,1,0),(1,0,0)), which is not a
+    # rack, and a p of the wrong length a bare IndexError
+    with pytest.raises(ValueError, match="is not a permutation of 0..2"):
+        tb.relabel(tb.dihedral(3), p)
+
+
+# ---------------------------------------------------------------------------
+# canonical form against the search over all n! relabellings it replaced
+
+def _canonical_rows_reference(rows):
+    """Least relabelling of raw rows: every relabelling, built one row at a
+    time and dropped at the first row above the best so far."""
+    best = None
+    for q in itertools.permutations(range(len(rows))):
+        p = tb.invert_perm(q)  # q maps each new label to its old one
+        cand = []
+        tied = best is not None
+        for old in q:
+            r = rows[old]
+            row = tuple([p[r[j]] for j in q])
+            if tied:
+                b = best[len(cand)]
+                if row > b:
+                    break
+                tied = row == b
+            cand.append(row)
+        else:
+            best = tuple(cand)
+    return best
+
+
+def _check_canonical_rows(t):
+    expected = _canonical_rows_reference(t.rows)
+    assert tb._canonical_rows(t.rows) == expected
+    assert tb.canonical_form(t) == tb.Table(expected)
+
+
+def _cycle_type_perm(*lengths):
+    p, start = [], 0
+    for length in lengths:
+        p.extend(start + (i + 1) % length for i in range(length))
+        start += length
+    return tuple(p)
+
+
+LARGE_CYCLE_TYPES = [(3, 2, 1), (6,), (4, 3), (2, 2, 2, 1), (4, 2, 2), (8,), (3, 3, 2), (1,) * 8]
+
+
+def test_canonical_form_on_every_table_of_order_at_most_3():
+    tables = [t for n in (1, 2, 3) for t in _all_tables(n)]
+    assert len(tables) == 1 + 16 + 3 ** 9
+    for t in tables:
+        _check_canonical_rows(t)
+
+
+def test_canonical_form_on_every_small_rack_and_a_relabelling():
+    import random
+
+    rng = random.Random(8)
+    for n in range(1, tb.MAX_ENUM_ORDER + 1):
+        for t in tb.enumerate_racks(n):
+            p = list(range(n))
+            rng.shuffle(p)
+            _check_canonical_rows(t)
+            _check_canonical_rows(tb.relabel(t, tuple(p)))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_canonical_form_on_large_dihedral_and_trivial_racks(n):
+    _check_canonical_rows(tb.dihedral(n))
+    _check_canonical_rows(tb.trivial(n))
+
+
+@pytest.mark.parametrize("lengths", LARGE_CYCLE_TYPES)
+def test_canonical_form_on_large_constant_action_racks(lengths):
+    _check_canonical_rows(tb.constant_action(_cycle_type_perm(*lengths)))
+
+
+@pytest.mark.parametrize("t", [
+    tb.trivial(8), tb.dihedral(8), tb.constant_action(_cycle_type_perm(4, 2, 2)),
+], ids=["trivial8", "dihedral8", "constant_action_4_2_2"])
+def test_canonical_form_of_an_order8_rack_is_fast(t):
+    # the search over all 8! relabellings takes longer than this on each
+    import time
+
+    start = time.perf_counter()
+    tb.canonical_form(t)
+    assert time.perf_counter() - start < 0.1
+
+
+@st.composite
+def permutation_column_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    cols = [draw(st.permutations(range(n))) for _ in range(n)]
+    return tb.Table(tuple(zip(*cols)))
+
+
+@st.composite
+def magmas_up_to_order_5(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return tb.Table(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@given(magmas_up_to_order_5())
+def test_canonical_form_on_magmas(t):
+    _check_canonical_rows(t)
+
+
+@given(permutation_column_tables())
+def test_canonical_form_on_permutation_column_tables(t):
+    _check_canonical_rows(t)
+
+
+# ---------------------------------------------------------------------------
+# tables built without the constructor's checks
+
+def _unchecked_tables():
+    r = tb.dihedral(6)
+    yield from tb.enumerate_racks(3)
+    yield from tb.enumerate_racks(4, quandles_only=True, up_to_iso=True)
+    yield from tb.enumerate_racks(5, up_to_iso=True)
+    yield tb.canonical_form(r)
+    yield tb.canonical_form(tb.Table(((0, 0, 1), (1, 1, 0), (2, 2, 2))))
+    yield tb.inverse_table(tb.constant_action((1, 2, 0, 4, 3)))
+    yield tb.relabel(r, (5, 3, 1, 0, 2, 4))
+    for p, cls in cg.enumerate_congruences(r):
+        if cls is cg.CongruenceClass.BOTH:
+            yield cg.quotient(r, p).table
+    yield cg.try_induced_table(r, cg.Partition((0, 1, 2, 0, 1, 2)))[0]
+
+
+def test_tables_built_from_rows_equal_checked_tables():
+    tables = list(_unchecked_tables())
+    assert len(tables) > 100
+    for t in tables:
+        assert type(t) is tb.Table
+        assert t == tb.Table(t.rows)
+        assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
+        assert all(type(e) is int for row in t.rows for e in row)
+
+
 # ---------------------------------------------------------------------------
 # mutual distributivity
 
