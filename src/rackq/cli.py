@@ -101,26 +101,29 @@ def cmd_quotient(args):
     return _ok(payload), 0
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    """The comma-separated integers of --subset or --map, with a short echo."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers: {tb._quoted(text)}") from None
+
+
 def cmd_subrack(args):
     t = _load_table(args.path)
-    subset = sorted({int(tok) for tok in args.subset.split(",")})
+    subset = sorted(set(_int_list(args.subset, "--subset")))
     return _ok({"subset": subset, "is_subrack": cg.is_subrack(t, subset)}), 0
-
-
-def _parse_map(text: str, r: tb.Table, s: tb.Table) -> cg.FiniteMap:
-    image = tuple(int(tok) for tok in text.split(","))
-    return cg.FiniteMap(r.order, s.order, image)
 
 
 def cmd_hom_check(args):
     r, s = _load_table(args.domain), _load_table(args.codomain)
-    f = _parse_map(args.map, r, s)
+    f = cg.FiniteMap(r.order, s.order, tuple(_int_list(args.map, "--map")))
     return _ok({"is_homomorphism": cg.is_homomorphism(f, r, s)}), 0
 
 
 def cmd_iso_check(args):
     r, s = _load_table(args.domain), _load_table(args.codomain)
-    f = _parse_map(args.map, r, s)
+    f = cg.FiniteMap(r.order, s.order, tuple(_int_list(args.map, "--map")))
     if not cg.is_homomorphism(f, r, s):
         return _error("map is not a homomorphism; no kernel or quotient exists"), 2
     ker = cg.Partition(f.image)  # the kernel of the homomorphism just checked
@@ -153,8 +156,7 @@ def _int_arg(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown, more = tb.excerpt(text)
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown!r}{more}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {tb._quoted(text)}") from None
 
 
 def _parse_weight(text: str):
@@ -163,8 +165,7 @@ def _parse_weight(text: str):
     try:
         value = wa.parse_rational(text)
     except ZeroDivisionError:
-        shown, more = tb.excerpt(text)
-        raise ValueError(f"weight {shown!r}{more} has a zero denominator")
+        raise ValueError(f"weight {tb._quoted(text)} has a zero denominator")
     return wa.Weight(value)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .tables import Record, Table, _rack_tables, excerpt, inverse_table
+from .tables import Record, Table, _quoted, _rack_tables, excerpt, inverse_table
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -129,8 +129,7 @@ def parse_partition(literal: str, order: int) -> Partition:
     try:
         blocks = [[int(tok) for tok in part.split(",")] for part in literal.split("|")]
     except ValueError:
-        shown, more = excerpt(literal)
-        raise ValueError(f"malformed partition literal: {shown!r}{more}") from None
+        raise ValueError(f"malformed partition literal: {_quoted(literal)}") from None
     return Partition.from_blocks(blocks, order)
 
 

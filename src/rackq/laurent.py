@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .tables import PRIMARY, Record, side_sign
+from .tables import PRIMARY, Record, _quoted, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -285,7 +285,7 @@ def parse_laurent(text: str) -> LaurentPoly:
             while i < len(s) and s[i].isspace():
                 i += 1
         elif i > 0:
-            raise ValueError(f"expected + or - before {s[i:]!r} in {text!r}")
+            raise ValueError(f"expected + or - before {_quoted(s[i:])} in {_quoted(text)}")
         j = i
         while j < len(s) and s[j].isdigit():
             j += 1
@@ -301,15 +301,15 @@ def parse_laurent(text: str) -> LaurentPoly:
                 while k < len(s) and s[k].isdigit():
                     k += 1
                 if k == i or (k == i + 1 and s[i] in "+-"):
-                    raise ValueError(f"missing exponent in {text!r}")
+                    raise ValueError(f"missing exponent in {_quoted(text)}")
                 exp = int(s[i:k])
                 i = k
         elif has_coeff:
             exp = 0
         elif i == len(s):
-            raise ValueError(f"missing term at the end of {text!r}")
+            raise ValueError(f"missing term at the end of {_quoted(text)}")
         else:
-            raise ValueError(f"unexpected character {s[i]!r} in {text!r}")
+            raise ValueError(f"unexpected character {s[i]!r} in {_quoted(text)}")
         terms[exp] = terms.get(exp, 0) + sign * coeff
         while i < len(s) and s[i].isspace():
             i += 1

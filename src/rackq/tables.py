@@ -49,6 +49,13 @@ def excerpt(text: str) -> tuple[str, str]:
     return text[:EXCERPT_CHARS], f"... ({len(text)} characters)"
 
 
+def _quoted(text: str) -> str:
+    """How an error message quotes a literal from outside: the repr of
+    its excerpt, and the note of its length."""
+    shown, more = excerpt(text)
+    return f"{shown!r}{more}"
+
+
 class RackParseError(ValueError):
     """Malformed ``.rack`` text, with 1-based line/column of the offender."""
 
@@ -318,18 +325,12 @@ def mutually_distributive(r: Table) -> bool:
     """Whether the primary and inverse operations distribute over each other.
 
     Tests (x*y) *' z = (x *' z) * (y *' z) and (x *' y) * z =
-    (x * z) *' (y * z) over all triples.
+    (x * z) *' (y * z) over all triples, with the column kernel of
+    validate: each x -> x *' z must be an endomorphism of *, and each
+    S_z one of *'.  ValueError unless r is a rack.
     """
     t, u = _rack_tables(r)
-    n = len(t)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if u[t[x][y]][z] != t[u[x][z]][u[y][z]]:
-                    return False
-                if t[u[x][y]][z] != u[t[x][z]][t[y][z]]:
-                    return False
-    return True
+    return _distributive(t, tuple(zip(*u))) and _distributive(u, tuple(zip(*t)))
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +717,8 @@ def parse_rack(text: str) -> Table:
             try:
                 order = int(line)
             except ValueError:
-                shown, more = excerpt(line)
                 raise RackParseError(
-                    f"line {lineno}: expected order, got {shown!r}{more}", lineno
+                    f"line {lineno}: expected order, got {_quoted(line)}", lineno
                 )
             if order <= 0:
                 raise RackParseError(f"line {lineno}: order must be positive", lineno)
@@ -737,9 +737,8 @@ def parse_rack(text: str) -> Table:
             try:
                 e = int(tok)
             except ValueError:
-                shown, more = excerpt(tok)
                 raise RackParseError(
-                    f"line {lineno}, column {colno}: not an integer: {shown!r}{more}",
+                    f"line {lineno}, column {colno}: not an integer: {_quoted(tok)}",
                     lineno, colno,
                 )
             if not 0 <= e < order:

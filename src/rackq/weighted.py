@@ -20,8 +20,8 @@ import math
 import random
 from fractions import Fraction
 
-from .congruence import CongruenceClass
-from .tables import PRIMARY, INVERSE, Record, excerpt, side_sign
+from .congruence import _CLASS_OF, CongruenceClass
+from .tables import PRIMARY, INVERSE, Record, _quoted, side_sign
 
 
 class Weight(Record):
@@ -204,8 +204,7 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
 
 
 def _malformed(text: str, reason: str) -> ValueError:
-    shown, more = excerpt(text)
-    return ValueError(f"malformed descriptor: {shown!r}{more}: {reason}")
+    return ValueError(f"malformed descriptor: {_quoted(text)}: {reason}")
 
 
 # Most digits, and largest decimal exponent, that a rational literal may
@@ -239,8 +238,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError:
-        shown, more = excerpt(text)
-        raise ValueError(f"Invalid literal for Fraction: {shown!r}{more}") from None
+        raise ValueError(f"Invalid literal for Fraction: {_quoted(text)}") from None
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -278,44 +276,28 @@ def _require_nontrivial(w: Weight) -> None:
 def coset_congruence_status(d: SubgroupDescriptor, w: Weight) -> CongruenceClass:
     """Classification of the coset relation x ~ y iff y - x in D: it
     respects the primary operation iff D is closed under multiplication
-    by w, and the inverse operation iff closed under 1/w."""
+    by w, and the inverse operation iff closed under 1/w.  The class is
+    read off the (primary, inverse) table the finite classification uses."""
     _require_nontrivial(w)
-    right = d.closed_under(w.value)
-    left = d.closed_under(w.inverse)
-    if right and left:
-        return CongruenceClass.BOTH
-    if right:
-        return CongruenceClass.RIGHT_ONLY
-    if left:
-        return CongruenceClass.LEFT_ONLY
-    return CongruenceClass.NEITHER
-
-
-def _side_fails(status: CongruenceClass, side: str) -> bool:
-    if side == PRIMARY:
-        return status in (CongruenceClass.LEFT_ONLY, CongruenceClass.NEITHER)
-    return status in (CongruenceClass.RIGHT_ONLY, CongruenceClass.NEITHER)
+    return _CLASS_OF[d.closed_under(w.value), d.closed_under(w.inverse)]
 
 
 def find_half_witness(d: SubgroupDescriptor, w: Weight, failing_side: str):
     """Quadruple (a, b, c, e) with a ~ c and b ~ e whose products on the
     failing side land in different cosets, or None when the side holds.
 
-    Tries the canonical quadruple (0, 0, delta, 0) with delta the scale
-    of the descriptor first, then widens over small elements of D.
+    A side with weight t fails exactly when D = g*Z[1/m] is not closed
+    under t, that is when t*g lies outside D.  Then (0, 0, g, 0) is a
+    witness: 0 ~ g and 0 ~ 0, and the products 0 and t*g differ by t*g.
     """
-    side_sign(failing_side)  # rejects an unknown side
-    status = coset_congruence_status(d, w)
-    if not _side_fails(status, failing_side):
+    t = _side_weight(w, failing_side)  # rejects an unknown side
+    _require_nontrivial(w)
+    if d.closed_under(t):
         return None
-    # Only scaled descriptors can fail a side.
-    deltas = [d.g * Fraction(k, d.m**level) for level in range(5) for k in range(1, 4)]
-    for delta in deltas:
-        a, b, c, e = Fraction(0), Fraction(0), delta, Fraction(0)
-        gap = weighted_op(c, e, w, failing_side) - weighted_op(a, b, w, failing_side)
-        if d.contains(c - a) and d.contains(e - b) and not d.contains(gap):
-            return (a, b, c, e)
-    raise RuntimeError("no witness found although the side fails")  # pragma: no cover
+    # Only scaled descriptors fail a side, and they contain g.
+    if not d.contains(d.g) or d.contains(t * d.g):
+        raise AssertionError(f"(0, 0, g, 0) is no witness for {d.describe()} at weight {t}")
+    return (Fraction(0), Fraction(0), d.g, Fraction(0))
 
 
 def sampled_congruence_check(

@@ -392,11 +392,27 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
     assert calls == {"is_homomorphism": 1, "inverse_table": 2, "_distributive": 1}
 
 
+@pytest.mark.parametrize("command, option", [
+    ("subrack", "--subset"), ("hom-check", "--map"), ("iso-check", "--map"),
+])
+def test_malformed_int_list_names_its_option(command, option, rack_file, capsys):
+    d3 = rack_file("d3.rack", tb.dihedral(3))
+    tables = [d3] if command == "subrack" else [d3, d3]
+    code = cli.main([command, *tables, option, "x" * 5000])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [
+        f"{option} must be comma-separated integers: {'x' * 40!r}... (5000 characters)"
+    ]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify-tau", "x" * 40], "Invalid literal for Fraction: '" + "x" * 40 + "'"),
     (["classify-tau", "1" * 38 + "/0"], "weight '" + "1" * 38 + "/0' has a zero denominator"),
     (["congruences", "{d3}", "--partition", "0,1|x"], "malformed partition literal: '0,1|x'"),
     (["quotient", "{d3}", "--partition", "0,1"], "blocks do not partition 0..2: [[0, 1]]"),
+    (["subrack", "{d3}", "--subset", "0,,1"], "--subset must be comma-separated integers: '0,,1'"),
+    (["hom-check", "{d3}", "{d3}", "--map", "0,1,y"],
+     "--map must be comma-separated integers: '0,1,y'"),
 ])
 def test_short_malformed_literals_are_echoed_whole(argv, message, rack_file, capsys):
     d3 = rack_file("d3.rack", tb.dihedral(3))

@@ -75,6 +75,20 @@ def test_parse_requires_an_operator_between_terms():
             la.parse_laurent(bad)
 
 
+@pytest.mark.parametrize("bad, start", [
+    ("t" * 100_000, "expected + or - before 'ttt"),
+    ("t^" + "x" * 99_998, "missing exponent in 't^xx"),
+    ("1+" * 50_000, "missing term at the end of '1+1+"),
+    ("x" * 100_000, "unexpected character 'x' in 'xxx"),
+], ids=["operator", "exponent", "last-term", "character"])
+def test_long_malformed_literal_gets_a_short_message(bad, start):
+    with pytest.raises(ValueError) as info:
+        la.parse_laurent(bad)
+    message = str(info.value)
+    assert message.startswith(start) and "... (100000 characters)" in message
+    assert len(message) < 200
+
+
 def test_parse_allows_whitespace_around_operators():
     assert la.parse_laurent(" - t ") == -T
     assert la.parse_laurent("2t^3 +t-  4") == lp({3: 2, 1: 1, 0: -4})

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -400,3 +401,36 @@ def test_literal_errors():
     for bad in ("", "L2::R1", "L1:x::R0", "L1:0:12a:R0", "R1::L1", "L1:1:R0:extra:stuff"):
         with pytest.raises(ValueError):
             sh.parse_biseq(bad)
+
+
+@pytest.mark.parametrize("bad, start", [
+    ("x" * 100_000, "malformed sequence literal: 'xxx"),
+    ("L2:" + "0" * 99_994 + ":R1", "malformed left tail in 'L2:0"),
+    ("L1:" + "0" * 99_994 + ":R2", "malformed right tail in 'L1:0"),
+    ("L1:0:" + "2" * 99_992 + ":R0", "word must be over 0/1 in 'L1:0:2"),
+    ("L1:" + "x" * 99_992 + ":1:R0", "malformed start index in 'L1:x"),
+], ids=["fields", "left-tail", "right-tail", "word", "start"])
+def test_long_malformed_literal_gets_a_short_message(bad, start):
+    assert len(bad) == 100_000
+    with pytest.raises(ValueError) as info:
+        sh.parse_biseq(bad)
+    message = str(info.value)
+    assert message.startswith(start) and message.endswith("... (100000 characters)")
+    assert len(message) < 200
+
+
+def test_samplers_draw_the_pinned_sequences():
+    # the first 1,000 (random_biseq, random_agree_partner) pairs at seed 0,
+    # as drawn when the word length, span and depth were still parameters
+    rng = random.Random(0)
+    draws = []
+    for _ in range(1000):
+        a = sh.random_biseq(rng)
+        draws += [repr(a), repr(sh.random_agree_partner(rng, a))]
+    assert draws[:2] == [
+        "BiSeq(left_tail=1, start=4, word=(0, 1, 1, 1, 1), right_tail=0)",
+        "BiSeq(left_tail=0, start=-10, word=(1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, "
+        "1, 1, 1), right_tail=0)",
+    ]
+    digest = hashlib.sha256("\n".join(draws).encode()).hexdigest()
+    assert digest == "b96af15ca05e6e115dbd27e38424e0a60d5c5a6173c1fcba0276fe0d2807409d"

@@ -381,6 +381,33 @@ def test_mutual_distributivity_all_small_racks():
         assert tb.mutually_distributive(t)
 
 
+def _mutually_distributive_reference(r):
+    # the triple loop mutually_distributive once ran, kept as the reference
+    t, u = r.rows, tb.inverse_table(r).rows
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if u[t[x][y]][z] != t[u[x][z]][u[y][z]]:
+                    return False
+                if t[u[x][y]][z] != u[t[x][z]][t[y][z]]:
+                    return False
+    return True
+
+
+def test_mutual_distributivity_matches_the_reference():
+    racks = [t for n in range(1, 5) for t in tb.enumerate_racks(n)]
+    for n in range(1, 9):
+        racks += [tb.dihedral(n), tb.trivial(n)]
+        racks += [tb.constant_action(tuple((x + 1) % n for x in range(n))),
+                  tb.constant_action(tuple(range(n - 1, -1, -1)))]
+    for t in racks:
+        assert tb.mutually_distributive(t) == _mutually_distributive_reference(t), t
+    for not_rack in (tb.Table(((0, 1), (1, 0))), tb.Table(((0, 0), (0, 0)))):
+        with pytest.raises(ValueError, match="not a rack"):
+            tb.mutually_distributive(not_rack)
+
+
 # ---------------------------------------------------------------------------
 # the doubling/halving pair on the integers
 

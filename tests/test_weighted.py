@@ -171,15 +171,27 @@ def test_half_witness_exact_examples():
     assert wa.find_half_witness(Z6, wa.Weight(F(2, 3)), INVERSE) is None
 
 
+def test_half_witness_checks_the_side_before_the_weight():
+    with pytest.raises(ValueError, match="side must be"):
+        wa.find_half_witness(Z, wa.Weight(F(1)), "sideways")
+    with pytest.raises(ValueError, match="trivial weighted average quandle"):
+        wa.find_half_witness(Z, wa.Weight(F(1)), PRIMARY)
+
+
 def test_half_witness_is_always_verified():
     for d in GRID_DESCRIPTORS:
         for w in GRID_WEIGHTS:
             status = wa.coset_congruence_status(d, w)
+            failing = {
+                PRIMARY: status in (CC.LEFT_ONLY, CC.NEITHER),
+                INVERSE: status in (CC.RIGHT_ONLY, CC.NEITHER),
+            }
             for side in (PRIMARY, INVERSE):
                 quad = wa.find_half_witness(d, w, side)
-                fails = wa._side_fails(status, side)
-                assert (quad is not None) == fails
+                assert (quad is not None) == failing[side]
                 if quad is not None:
+                    assert quad == (0, 0, d.g, 0)
+                    assert all(type(v) is Fraction for v in quad)
                     a, b, c, e = quad
                     assert d.contains(c - a) and d.contains(e - b)
                     gap = wa.weighted_op(c, e, w, side) - wa.weighted_op(a, b, w, side)
