@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .tables import Record, Table, _quoted, _rack_tables, excerpt, inverse_table
+from .tables import Record, Table, _homomorphic, _quoted, _rack_tables, excerpt, inverse_table
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -375,23 +375,16 @@ def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
 
     When it does, it must respect the inverse operation too; that is
     asserted rather than returned, since a violation would mean the
-    tables are inconsistent.
+    tables are inconsistent.  Both are decided by tables._homomorphic.
     """
     if f.domain_order != r.order or f.codomain_order != s.order:
         raise ValueError("map dimensions do not match the tables")
-    phi = f.image
-    holds = all(
-        phi[r.rows[x][y]] == s.rows[phi[x]][phi[y]]
-        for x in range(r.order)
-        for y in range(r.order)
-    )
+    maps = (f.image,)
+    holds = _homomorphic(r.rows, s.rows, maps)
     if holds:
-        r_inv, s_inv = inverse_table(r), inverse_table(s)
-        assert all(
-            phi[r_inv.rows[x][y]] == s_inv.rows[phi[x]][phi[y]]
-            for x in range(r.order)
-            for y in range(r.order)
-        ), "homomorphism fails to respect the inverse operation"
+        assert _homomorphic(inverse_table(r).rows, inverse_table(s).rows, maps), (
+            "homomorphism fails to respect the inverse operation"
+        )
     return holds
 
 
@@ -433,9 +426,4 @@ def _first_isomorphism(f: FiniteMap, r: Table, s: Table, ker: Partition) -> bool
         psi[b] = v
     if sorted(psi) != list(range(len(image))):
         return False
-    k = q.table.order
-    return all(
-        psi[q.table.rows[i][j]] == img_rows[psi[i]][psi[j]]
-        for i in range(k)
-        for j in range(k)
-    )
+    return _homomorphic(q.table.rows, img_rows, (psi,))

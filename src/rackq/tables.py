@@ -232,18 +232,21 @@ def _columns(rows):
     return cols, None if all(perm) else perm.index(False)
 
 
-def _distributive(rows, cols) -> bool:
-    """Right self-distributivity, (x*y)*z = (x*z)*(y*z) on all triples.
+def _homomorphic(rows, target, maps) -> bool:
+    """Whether each image tuple f in maps is a homomorphism from the table
+    of raw rows `rows` to that of `target`: f(x*y) = f(x)*f(y) for all x, y.
 
-    In column form every S_z is an endomorphism: S_z(x*y) = S_z(x)*S_z(y).
-    Row x of the left side is row x of the table mapped through S_z, and
-    of the right side row S_z(x) read at the columns S_z(y).
+    The one homomorphism test of the finite layer.  Right
+    self-distributivity is _homomorphic(rows, rows, columns): every S_z an
+    endomorphism.  Row x of the left side is row x of rows mapped through
+    f, and of the right side row f(x) of target read at the columns f(y).
     """
-    row_maps = [_picker(row) for row in rows]
-    for col in cols:
-        at = _picker(col)
-        for through, image_row in zip(row_maps, at(rows)):
-            if through(col) != at(image_row):
+    # one map reads each row once, and most maps fail on an early row
+    row_maps = map(_picker, rows) if len(maps) == 1 else [_picker(row) for row in rows]
+    for f in maps:
+        at = _picker(f)
+        for through, image_row in zip(row_maps, at(target)):
+            if through(f) != at(image_row):
                 return False
     return True
 
@@ -264,7 +267,7 @@ def validate(m: Table) -> AxiomReport:
     cols, bad = _columns(rows)
     idem = all(row[x] == x for x, row in enumerate(rows))
     rinv = bad is None
-    rsd = _distributive(rows, cols)
+    rsd = _homomorphic(rows, rows, cols)
     rack = rinv and rsd
     return AxiomReport(idem, rinv, rsd, rack, rack and idem)
 
@@ -288,7 +291,7 @@ def _rack_tables(r: Table):
     if last[0] is rows:
         return last
     cols, bad = _columns(rows)
-    if bad is not None or not _distributive(rows, cols):
+    if bad is not None or not _homomorphic(rows, rows, cols):
         raise ValueError("not a rack")
     _last_rack = last = (rows, _inverse_rows(cols))
     return last
@@ -325,12 +328,12 @@ def mutually_distributive(r: Table) -> bool:
     """Whether the primary and inverse operations distribute over each other.
 
     Tests (x*y) *' z = (x *' z) * (y *' z) and (x *' y) * z =
-    (x * z) *' (y * z) over all triples, with the column kernel of
-    validate: each x -> x *' z must be an endomorphism of *, and each
-    S_z one of *'.  ValueError unless r is a rack.
+    (x * z) *' (y * z) over all triples with _homomorphic: each
+    x -> x *' z must be an endomorphism of *, and each S_z one of *'.
+    ValueError unless r is a rack.
     """
     t, u = _rack_tables(r)
-    return _distributive(t, tuple(zip(*u))) and _distributive(u, tuple(zip(*t)))
+    return _homomorphic(t, t, tuple(zip(*u))) and _homomorphic(u, u, tuple(zip(*t)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +360,10 @@ def _twin_classes(rows) -> list[int]:
     """The least element each element is a twin of.
 
     Elements c and d are twins when the transposition (c d) is an
-    automorphism: (c d) applied to x*y gives (c d)x * (c d)y for all x, y.
-    Conjugating (c d) by (d e) gives (c e), so being twins is an
-    equivalence and one check against each class found so far settles
-    an element.
+    automorphism: (c d) applied to x*y gives (c d)x * (c d)y for all x, y,
+    which _homomorphic decides.  Conjugating (c d) by (d e) gives (c e),
+    so being twins is an equivalence and one check against each class
+    found so far settles an element.
     """
     n = len(rows)
     cols = list(zip(*rows))
@@ -372,9 +375,7 @@ def _twin_classes(rows) -> list[int]:
             s[c], s[d] = d, c
             at = itemgetter(*s)
             # column c first: it settles most pairs that are not twins
-            if tuple([s[v] for v in cols[c]]) == at(cols[d]) and all(
-                tuple([s[v] for v in row]) == at(rows[s[x]]) for x, row in enumerate(rows)
-            ):
+            if tuple([s[v] for v in cols[c]]) == at(cols[d]) and _homomorphic(rows, rows, (s,)):
                 least[c] = d
                 break
         else:
@@ -605,8 +606,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
         sw = tuple(sw)
         w = sz[y]
         if cols[w] is None:
-            if quandles_only and sw[w] != w:
-                return False
+            # quandle search: sw[w] = S_z(S_y(y)) = w, as each column set fixes its index
             cols[w] = sw
             assigned.append(w)
             return True

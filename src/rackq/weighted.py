@@ -387,6 +387,9 @@ def classify_weight(w: Weight) -> WeightClassification:
     """
     _require_nontrivial(w)
     p, q = w.p, w.q
+    if abs(p) * q > MAX_DESCRIPTOR_BASE:
+        # the witness Z[1/|pq|] is out of range; a huge int may not convert to str
+        raise ValueError(f"weight |numerator| * denominator exceeds {MAX_DESCRIPTOR_BASE}")
     if w.value == -1:
         case = 1
     elif abs(p) == 1:

@@ -323,8 +323,8 @@ def test_demos_pass(name, capsys):
 
 def test_validate_checks_distributivity_once(rack_file, capsys, monkeypatch):
     calls = []
-    kernel = tb._distributive
-    monkeypatch.setattr(tb, "_distributive", lambda *a: calls.append(1) or kernel(*a))
+    kernel = tb._homomorphic
+    monkeypatch.setattr(tb, "_homomorphic", lambda *a: calls.append(1) or kernel(*a))
     code, doc = run(capsys, "validate", rack_file("d8.rack", tb.dihedral(8)))
     assert code == 0 and doc["payload"]["exponent"] == 2
     assert len(calls) == 1
@@ -361,6 +361,30 @@ def test_long_malformed_rack_file_gets_a_short_answer(text, tmp_path, capsys):
     assert doc["status"] == "error" and "characters)" in doc["diagnostics"][0]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\n", "line 1: order must be positive"),
+    ("# two rows\n2\n0 0\n1 1\n0 1\n", "line 5: more than 2 rows"),
+], ids=["order-zero", "extra-row"])
+def test_rack_file_structure_errors_name_the_line(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.rack"
+    path.write_text(text)
+    code, doc = run(capsys, "validate", str(path))
+    assert code == 2
+    assert doc["status"] == "error" and doc["diagnostics"] == [message]
+
+
+def test_oversized_weight_names_the_weight_bound(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, doc = run(capsys, "classify-tau", "1000003/1000033")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and doc["status"] == "error"
+    (message,) = doc["diagnostics"]
+    assert "exceeds" in message and "numerator" in message
+    assert "denominator base" not in message
+
+
 def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
     from rackq import congruence as cg
 
@@ -378,7 +402,7 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
 
     count(cg, "is_homomorphism")
     count(cg, "inverse_table")
-    count(tb, "_distributive")
+    count(tb, "_homomorphic")
     d6, d3 = rack_file("d6.rack", tb.dihedral(6)), rack_file("d3.rack", tb.dihedral(3))
     code = cli.main(["iso-check", d6, d3, "--map", "0,1,2,0,1,2"])
     assert code == 0
@@ -389,7 +413,7 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
     )
     # one map check (it inverts each table once for its assertion) and
     # one rack check of the domain
-    assert calls == {"is_homomorphism": 1, "inverse_table": 2, "_distributive": 1}
+    assert calls == {"is_homomorphism": 1, "inverse_table": 2, "_homomorphic": 1}
 
 
 @pytest.mark.parametrize("command, option", [

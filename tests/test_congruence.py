@@ -394,3 +394,123 @@ def test_first_isomorphism_for_all_small_homomorphisms():
         for s in racks:
             for f in cg.find_homomorphisms(r, s):
                 assert cg.first_isomorphism_check(f, r, s)
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism kernel against the index loops it replaced
+
+def _is_homomorphism_reference(f, r, s):
+    if f.domain_order != r.order or f.codomain_order != s.order:
+        raise ValueError("map dimensions do not match the tables")
+    phi = f.image
+    holds = all(
+        phi[r.rows[x][y]] == s.rows[phi[x]][phi[y]]
+        for x in range(r.order)
+        for y in range(r.order)
+    )
+    if holds:
+        r_inv, s_inv = tb.inverse_table(r), tb.inverse_table(s)
+        assert all(
+            phi[r_inv.rows[x][y]] == s_inv.rows[phi[x]][phi[y]]
+            for x in range(r.order)
+            for y in range(r.order)
+        ), "homomorphism fails to respect the inverse operation"
+    return holds
+
+
+def _first_isomorphism_reference(f, r, s):
+    """The first-isomorphism check for a homomorphism f, ending in the
+    index loop over the quotient."""
+    ker = cg.Partition(f.image)
+    q = cg.quotient(r, ker)
+    image = sorted(set(f.image))
+    pos = {e: i for i, e in enumerate(image)}
+    img_rows = tuple(tuple(pos[s.rows[a][b]] for b in image) for a in image)
+    psi = [None] * q.table.order
+    for x in range(r.order):
+        psi[ker.block_of[x]] = pos[f.image[x]]
+    if sorted(psi) != list(range(len(image))):
+        return False
+    k = q.table.order
+    return all(
+        psi[q.table.rows[i][j]] == img_rows[psi[i]][psi[j]]
+        for i in range(k)
+        for j in range(k)
+    )
+
+
+def _outcome(check, *args):
+    """The result of check(*args), or the type and message it raised."""
+    try:
+        return check(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SMALL_RACKS = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n)]
+
+
+def test_homomorphism_kernel_matches_index_loops_between_small_racks():
+    assert len(SMALL_RACKS) ** 2 == 256
+    for r in SMALL_RACKS:
+        for s in SMALL_RACKS:
+            for f in cg.all_maps(r.order, s.order):
+                hom = cg.is_homomorphism(f, r, s)
+                assert hom == _is_homomorphism_reference(f, r, s)
+                if hom:
+                    assert cg.first_isomorphism_check(f, r, s) == _first_isomorphism_reference(f, r, s)
+
+
+def test_homomorphism_kernel_matches_index_loops_from_magmas():
+    perms = list(itertools.permutations(range(3)))
+    magmas = [tb.Table(tuple(zip(*cols))) for cols in itertools.product(perms, repeat=3)]
+    calls = 0
+    for m in magmas:
+        for s in SMALL_RACKS:
+            for f in cg.all_maps(3, s.order):
+                assert _outcome(cg.is_homomorphism, f, m, s) == _outcome(
+                    _is_homomorphism_reference, f, m, s
+                )
+                calls += 1
+    assert calls == 79488
+    # tables with a column that is not a permutation reach the errors
+    # of the inverse operation
+    order2 = [tb.Table((flat[:2], flat[2:])) for flat in itertools.product(range(2), repeat=4)]
+    raised = set()
+    for r in order2:
+        for s in order2:
+            for f in cg.all_maps(2, 2):
+                got = _outcome(cg.is_homomorphism, f, r, s)
+                assert got == _outcome(_is_homomorphism_reference, f, r, s)
+                if isinstance(got, tuple):
+                    raised.add(got[0])
+    assert raised == {ValueError}
+
+
+@st.composite
+def _homomorphism_cases(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def table(k):
+        cell = st.integers(0, k - 1)
+        return tuple(tuple(draw(st.lists(cell, min_size=k, max_size=k))) for _ in range(k))
+
+    rows = table(n)
+    target = rows if n == m and draw(st.booleans()) else table(m)
+    one_map = st.one_of(
+        st.lists(st.integers(0, m - 1), min_size=n, max_size=n).map(tuple),
+        st.integers(0, m - 1).map(lambda c: (c,) * n),
+        st.just(tuple(range(n)) if target is rows else (0,) * n),
+    )
+    return rows, target, tuple(draw(st.lists(one_map, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_homomorphism_cases())
+def test_homomorphic_matches_a_double_loop(case):
+    rows, target, maps = case
+    n = len(rows)
+    expected = all(
+        f[rows[x][y]] == target[f[x]][f[y]] for f in maps for x in range(n) for y in range(n)
+    )
+    assert tb._homomorphic(rows, target, maps) == expected

@@ -28,6 +28,8 @@ def test_valuation_and_degree():
     assert p.coeff(0) == -3 and p.coeff(5) == 0
     with pytest.raises(ValueError):
         ZERO.min_exp
+    with pytest.raises(ValueError, match="no degree"):
+        la.LaurentPoly().max_exp
 
 
 poly_terms = st.dictionaries(

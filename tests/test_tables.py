@@ -45,6 +45,10 @@ def test_structural_error_is_not_axiom_false():
         tb.Table(((0, 3), (1, 0)))
     with pytest.raises(ValueError, match="entries"):
         tb.Table(((0, 1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="positive order"):
+        tb.Table(())
+    with pytest.raises(ValueError, match="requires a permutation"):
+        tb.constant_action((0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,21 @@ def test_enumeration_counts():
     assert [
         len(tb.enumerate_racks(n, quandles_only=True, up_to_iso=True)) for n in (1, 2, 3, 4)
     ] == [1, 1, 3, 7]
+
+
+def test_quandle_search_gives_the_idempotent_racks():
+    # the quandle search checks only the columns it branches on; every
+    # forced column then fixes its own index, so no quandle is lost or added
+    labelled, classes = [], []
+    for n in range(1, tb.MAX_ENUM_ORDER + 1):
+        quandles = tb.enumerate_racks(n, quandles_only=True)
+        assert quandles == [t for t in tb.enumerate_racks(n) if tb.validate(t).idempotent]
+        reps = tb.enumerate_racks(n, quandles_only=True, up_to_iso=True)
+        assert reps == [t for t in tb.enumerate_racks(n, up_to_iso=True) if tb.validate(t).idempotent]
+        labelled.append(len(quandles))
+        classes.append(len(reps))
+    assert labelled == [1, 1, 5, 36, 404]
+    assert classes == [1, 1, 3, 7, 22]
 
 
 def test_enumeration_order5():
@@ -567,8 +586,8 @@ def test_axiom_kernel_on_order8_racks():
 
 def test_rack_check_runs_once_across_calls_on_one_table(monkeypatch):
     calls = []
-    kernel = tb._distributive
-    monkeypatch.setattr(tb, "_distributive", lambda *a: calls.append(1) or kernel(*a))
+    kernel = tb._homomorphic
+    monkeypatch.setattr(tb, "_homomorphic", lambda *a: calls.append(1) or kernel(*a))
     t = tb.dihedral(6)
     census = cg.enumerate_congruences(t)
     for p, cls in census:
