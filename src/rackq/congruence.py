@@ -14,7 +14,10 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .tables import Record, Table, _homomorphic, _quoted, _rack_tables, excerpt, inverse_table
+from .tables import (
+    Record, Table, _homomorphic, _permutation_columns, _quoted, _rack_tables, excerpt,
+    inverse_table,
+)
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
@@ -371,26 +374,27 @@ def all_maps(domain_order: int, codomain_order: int):
 
 
 def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
-    """Whether f respects the primary operation on all pairs.
+    """Whether f respects the primary operation on all pairs, decided by
+    tables._homomorphic; ValueError unless both tables are right
+    invertible, whatever the map.
 
-    When it does, it must respect the inverse operation too; that is
-    asserted rather than returned, since a violation would mean the
-    tables are inconsistent.  Both are decided by tables._homomorphic.
+    Between right-invertible tables such an f respects the inverse
+    operation too: f(x *' y) * f(y) = f((x *' y) * y) = f(x), so
+    f(x *' y) = f(x) *' f(y).
     """
     if f.domain_order != r.order or f.codomain_order != s.order:
         raise ValueError("map dimensions do not match the tables")
-    maps = (f.image,)
-    holds = _homomorphic(r.rows, s.rows, maps)
-    if holds:
-        assert _homomorphic(inverse_table(r).rows, inverse_table(s).rows, maps), (
-            "homomorphism fails to respect the inverse operation"
-        )
-    return holds
+    _permutation_columns(r.rows)
+    _permutation_columns(s.rows)
+    return _homomorphic(r.rows, s.rows, (f.image,))
 
 
 def find_homomorphisms(r: Table, s: Table) -> list[FiniteMap]:
-    """Exhaustive homomorphism search (use only for small domain orders)."""
-    return [f for f in all_maps(r.order, s.order) if is_homomorphism(f, r, s)]
+    """Exhaustive homomorphism search (use only for small domain orders);
+    ValueError unless both tables are right invertible."""
+    _permutation_columns(r.rows)
+    _permutation_columns(s.rows)
+    return [f for f in all_maps(r.order, s.order) if _homomorphic(r.rows, s.rows, (f.image,))]
 
 
 def kernel_partition(f: FiniteMap, r: Table, s: Table) -> Partition:

@@ -75,27 +75,37 @@ class LaurentPoly(Record):
         return LaurentPoly._from_sorted(tuple((e + k, c) for e, c in self.terms))
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        # Linear merge of two sorted term lists.
+        """self + sign * other by one index merge of the two sorted term
+        lists.  The left operand's terms are appended as they are, so a
+        call builds tuples only for the right operand's terms and for
+        exponents the two share."""
         a, b = self.terms, other.terms
+        na, nb = len(a), len(b)
         i = j = 0
         out = []
-        while i < len(a) and j < len(b):
-            ea, ca = a[i]
+        append = out.append
+        while i < na and j < nb:
+            ta = a[i]
+            ea = ta[0]
             eb, cb = b[j]
             if ea < eb:
-                out.append((ea, ca))
+                append(ta)
                 i += 1
             elif ea > eb:
-                out.append((eb, sign * cb))
+                append((eb, sign * cb))
                 j += 1
             else:
-                c = ca + sign * cb
+                c = ta[1] + sign * cb
                 if c:
-                    out.append((ea, c))
+                    append((ea, c))
                 i += 1
                 j += 1
-        out.extend(a[i:])
-        out.extend((e, sign * c) for e, c in b[j:])
+        if i < na:
+            out += a[i:]
+        while j < nb:
+            eb, cb = b[j]
+            append((eb, sign * cb))
+            j += 1
         return LaurentPoly._from_sorted(tuple(out))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -113,7 +123,7 @@ class LaurentPoly(Record):
             for e2, c2 in other.terms:
                 key = e1 + e2
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._from_sorted(tuple(sorted(t for t in out.items() if t[1])))
 
     def __str__(self) -> str:
         return format_laurent(self)

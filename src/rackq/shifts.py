@@ -58,6 +58,22 @@ class BiSeq(Record):
         object.__setattr__(self, "word", word[lo:hi])
         object.__setattr__(self, "right_tail", right_tail)
 
+    @classmethod
+    def _moved(cls, a: "BiSeq", start: int) -> "BiSeq":
+        # Fast path for shifts: a moved to begin at start, neither checked
+        # nor canonicalised again.  A shift of a canonical sequence is
+        # canonical, except that a constant one keeps start 0, so it is
+        # returned as it is.
+        if not a.word and a.left_tail == a.right_tail:
+            return a
+        obj = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(obj, "left_tail", a.left_tail)
+        set_field(obj, "start", start)
+        set_field(obj, "word", a.word)
+        set_field(obj, "right_tail", a.right_tail)
+        return obj
+
     @property
     def end(self) -> int:
         """First index at or after the word that is in the right tail."""
@@ -72,17 +88,20 @@ class BiSeq(Record):
 
 
 def shift(a: BiSeq, direction: str) -> BiSeq:
-    """Left shift moves every bit one index down: (shift left a)_i = a_{i+1}."""
+    """Left shift moves every bit one index down: (shift left a)_i = a_{i+1}.
+
+    Only the start moves (BiSeq._moved), and a constant sequence is its
+    own shift."""
     if direction == LEFT:
-        return BiSeq(a.left_tail, a.start - 1, a.word, a.right_tail)
+        return BiSeq._moved(a, a.start - 1)
     if direction == RIGHT:
-        return BiSeq(a.left_tail, a.start + 1, a.word, a.right_tail)
+        return BiSeq._moved(a, a.start + 1)
     raise ValueError(f"direction must be {LEFT!r} or {RIGHT!r}")
 
 
 def shift_by(a: BiSeq, k: int) -> BiSeq:
     """k-fold left shift; negative k shifts right."""
-    return BiSeq(a.left_tail, a.start - k, a.word, a.right_tail)
+    return BiSeq._moved(a, a.start - k)
 
 
 def agree_nonneg(a: BiSeq, b: BiSeq) -> bool:
@@ -136,13 +155,13 @@ def shift_equivalent(a: BiSeq, b: BiSeq) -> bool:
 def seq_rack_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
     """Constant action rack of the left shift: the second argument is
     ignored and a is shifted left (primary) or right (inverse)."""
-    return shift_by(a, side_sign(side))
+    return shift_by(a, 1 if side == PRIMARY else side_sign(side))
 
 
 def seq_quandle_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
     """Quandle operation: fix a when it is shift-equivalent to b, else
     shift it left (primary) or right (inverse)."""
-    k = side_sign(side)
+    k = 1 if side == PRIMARY else side_sign(side)
     return a if shift_equivalent(a, b) else shift_by(a, k)
 
 
@@ -211,11 +230,19 @@ class NormalForm(Record):
 
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:
-    """Multiplication on normal forms."""
-    k = side_sign(side)
+    """Multiplication on normal forms: u itself unless v is c and u is
+    not, and then u's generator at the next (primary) or previous
+    (inverse) power.
+
+    That result is built without NormalForm's checks, which cannot fail
+    for a generator a or b."""
+    k = 1 if side == PRIMARY else side_sign(side)
     if u.gen == "c" or v.gen != "c":
         return u
-    return NormalForm(u.gen, u.power + k)
+    w = object.__new__(NormalForm)
+    object.__setattr__(w, "gen", u.gen)
+    object.__setattr__(w, "power", u.power + k)
+    return w
 
 
 def embed_normal_form(u: NormalForm) -> BiSeq:
@@ -275,8 +302,9 @@ def random_biseq(rng) -> BiSeq:
 def random_agree_partner(rng, a: BiSeq) -> BiSeq:
     """Random b agreeing with a at all indices >= 0, built by rewriting
     the bits at indices in [-10, -1] and possibly the left tail."""
-    lo = min(-10, a.start)
-    bits = [a.bit_at(i) for i in range(lo, max(a.end, 1))]
+    lo, hi = min(-10, a.start), max(a.end, 1)
+    # the bits at indices lo .. hi - 1
+    bits = [a.left_tail] * (a.start - lo) + list(a.word) + [a.right_tail] * (hi - a.end)
     for off in range(-lo):
         if rng.random() < 0.5:
             bits[off] = rng.randint(0, 1)

@@ -83,6 +83,8 @@ class Record:
         cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)
@@ -232,6 +234,15 @@ def _columns(rows):
     return cols, None if all(perm) else perm.index(False)
 
 
+def _permutation_columns(rows):
+    """The columns of raw table rows; ValueError unless each one is a
+    permutation, that is unless the table is right invertible."""
+    cols, bad = _columns(rows)
+    if bad is not None:
+        raise ValueError(f"column {bad} is not a permutation; not right invertible")
+    return cols
+
+
 def _homomorphic(rows, target, maps) -> bool:
     """Whether each image tuple f in maps is a homomorphism from the table
     of raw rows `rows` to that of `target`: f(x*y) = f(x)*f(y) for all x, y.
@@ -303,10 +314,7 @@ def inverse_table(m: Table) -> Table:
     Entry (x, y) is the image of x under the inverse of column-permutation
     S_y, so that (x *' y) * y = x and (x * y) *' y = x on all pairs.
     """
-    cols, bad = _columns(m.rows)
-    if bad is not None:
-        raise ValueError(f"column {bad} is not a permutation; not right invertible")
-    return Table._from_rows(_inverse_rows(cols))
+    return Table._from_rows(_inverse_rows(_permutation_columns(m.rows)))
 
 
 def exponent(r: Table) -> int:

@@ -158,6 +158,17 @@ def test_hom_and_iso_check(rack_file, capsys):
     assert code == 2 and doc["status"] == "error"
 
 
+def test_hom_and_iso_check_refuse_a_table_that_is_not_right_invertible(rack_file, capsys):
+    # z2 = 2 / 0 0 / 0 0: once `false` for a map breaking *, and an error
+    # for a map respecting it
+    z2 = rack_file("z2.rack", tb.Table(((0, 0), (0, 0))))
+    for command in ("hom-check", "iso-check"):
+        for image in ("0,0", "0,1", "1,0", "1,1"):
+            code, doc = run(capsys, command, z2, z2, "--map", image)
+            assert code == 2 and doc["status"] == "error"
+            assert doc["diagnostics"] == ["column 0 is not a permutation; not right invertible"]
+
+
 def test_classify_tau_cases(capsys):
     for tau, case in (("-1", 1), ("1/2", 2), ("2", 3), ("2/3", 4)):
         code, doc = run(capsys, "classify-tau", tau, "--samples", "50")
@@ -411,9 +422,9 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
         '"is_homomorphism": true, "kernel_blocks": [[0, 3], [1, 4], [2, 5]], '
         '"kernel_class": "Both"}, "status": "ok"}\n'
     )
-    # one map check (it inverts each table once for its assertion) and
-    # one rack check of the domain
-    assert calls == {"is_homomorphism": 1, "inverse_table": 2, "_homomorphic": 1}
+    # one map check, which builds no inverse table, and one rack check of
+    # the domain
+    assert calls == {"is_homomorphism": 1, "inverse_table": 0, "_homomorphic": 1}
 
 
 @pytest.mark.parametrize("command, option", [

@@ -402,6 +402,10 @@ def test_first_isomorphism_for_all_small_homomorphisms():
 def _is_homomorphism_reference(f, r, s):
     if f.domain_order != r.order or f.codomain_order != s.order:
         raise ValueError("map dimensions do not match the tables")
+    for t in (r, s):
+        for y in range(t.order):
+            if sorted(row[y] for row in t.rows) != list(range(t.order)):
+                raise ValueError(f"column {y} is not a permutation; not right invertible")
     phi = f.image
     holds = all(
         phi[r.rows[x][y]] == s.rows[phi[x]][phi[y]]
@@ -473,18 +477,22 @@ def test_homomorphism_kernel_matches_index_loops_from_magmas():
                 )
                 calls += 1
     assert calls == 79488
-    # tables with a column that is not a permutation reach the errors
-    # of the inverse operation
+    # a table with a column that is not a permutation is refused whatever
+    # the map, and by the search before it tries one
     order2 = [tb.Table((flat[:2], flat[2:])) for flat in itertools.product(range(2), repeat=4)]
-    raised = set()
+    invertible = [r for r in order2 if tb.validate(r).right_invertible]
+    assert len(invertible) == 4
     for r in order2:
         for s in order2:
+            both = r in invertible and s in invertible
+            homs = []
             for f in cg.all_maps(2, 2):
                 got = _outcome(cg.is_homomorphism, f, r, s)
                 assert got == _outcome(_is_homomorphism_reference, f, r, s)
-                if isinstance(got, tuple):
-                    raised.add(got[0])
-    assert raised == {ValueError}
+                assert isinstance(got, tuple) != both
+                homs += [f] if got is True else []
+            found = _outcome(cg.find_homomorphisms, r, s)
+            assert found == (homs if both else got)
 
 
 @st.composite

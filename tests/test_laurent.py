@@ -360,3 +360,94 @@ def test_alexander_op_matches_reference(da, db):
     f, g = lp(da), lp(db)
     for side in (PRIMARY, INVERSE):
         assert la.alexander_op(f, g, side).terms == reference_alexander_op(f, g, side).terms
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against the term loops it replaced
+
+def _merge_reference(p, q, sign):
+    """p + sign * q by the merge that built a generator for q's tail."""
+    a, b = p.terms, q.terms
+    i = j = 0
+    out = []
+    while i < len(a) and j < len(b):
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append((ea, ca))
+            i += 1
+        elif ea > eb:
+            out.append((eb, sign * cb))
+            j += 1
+        else:
+            c = ca + sign * cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend((e, sign * c) for e, c in b[j:])
+    return LaurentPoly._from_sorted(tuple(out))
+
+
+def _mul_reference(p, q):
+    """p * q re-accumulated through the public constructor."""
+    out = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def _assert_arithmetic_matches_reference(f, g):
+    for x, y in ((f, g), (g, f)):
+        assert (x + y).terms == _merge_reference(x, y, 1).terms
+        assert (x - y).terms == _merge_reference(x, y, -1).terms
+    assert (f * g).terms == _mul_reference(f, g).terms
+
+
+wide_terms = st.dictionaries(
+    st.one_of(
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=10**6, max_value=10**6 + 5),
+        st.integers(min_value=-(10**6) - 5, max_value=-(10**6)),
+    ),
+    st.integers(min_value=-9, max_value=9),
+    max_size=8,
+)
+
+
+@st.composite
+def arithmetic_pairs(draw):
+    """(f, g) with g any polynomial, zero, f or -f (full cancellation),
+    f's exponents left out (disjoint exponents), or placed above all of
+    f's exponents."""
+    f, h = lp(draw(wide_terms)), lp(draw(wide_terms))
+    kind = draw(st.sampled_from(("any", "zero", "same", "negated", "disjoint", "above")))
+    if kind == "zero":
+        return f, ZERO
+    if kind == "same":
+        return f, f
+    if kind == "negated":
+        return f, -f
+    if kind == "disjoint":
+        return f, lp({e: c for e, c in h.terms if f.coeff(e) == 0})
+    if kind == "above" and not (f.is_zero or h.is_zero):
+        return f, h.shifted(f.max_exp - h.min_exp + draw(st.integers(1, 3)))
+    return f, h
+
+
+@given(arithmetic_pairs())
+def test_arithmetic_matches_the_reference_term_loops(pair):
+    _assert_arithmetic_matches_reference(*pair)
+
+
+def test_arithmetic_matches_the_reference_term_loops_on_grid_rows():
+    # every 125th row of the criterion-9 grid against all 3,125 g
+    polys = [
+        lp(dict(zip(range(-2, 3), coeffs)))
+        for coeffs in itertools.product(range(-2, 3), repeat=5)
+    ]
+    for f in polys[::125]:
+        for g in polys:
+            _assert_arithmetic_matches_reference(f, g)

@@ -112,6 +112,19 @@ def test_equality_is_by_class_and_fields(build, fields, repr_):
     assert repr(twin) == repr_
 
 
+@pytest.mark.parametrize("build, fields, repr_", CASES, ids=IDS)
+def test_a_record_equals_itself_without_building_a_key(build, fields, repr_, monkeypatch):
+    a, b = build(), build()
+
+    def no_key(record):
+        raise AssertionError("key built")
+
+    monkeypatch.setattr(type(a), "_key", staticmethod(no_key))
+    assert a == a and not a != a
+    with pytest.raises(AssertionError, match="key built"):
+        a == b
+
+
 @pytest.mark.parametrize("build, fields, repr_", HASHABLE, ids=HASHABLE_IDS)
 def test_hash_is_the_hash_of_the_field_tuple(build, fields, repr_):
     a, b = build(), build()
