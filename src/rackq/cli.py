@@ -28,9 +28,18 @@ def _error(*diagnostics):
     return {"status": "error", "payload": {}, "diagnostics": list(diagnostics)}
 
 
+# The most bytes a table file may hold.  A table of order 1,000 takes
+# under 4 MB; an endless input such as /dev/zero is cut off here.
+MAX_TABLE_BYTES = 16 * 1024 * 1024
+
+
 def _load_table(path: str) -> tb.Table:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tb.parse_rack(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_TABLE_BYTES + 1)
+    if len(data) > MAX_TABLE_BYTES:
+        raise ValueError(f"table file {tb._quoted(path)} is longer than {MAX_TABLE_BYTES} bytes")
+    # splitlines in parse_rack ends lines at \r\n and \r as text mode did
+    return tb.parse_rack(data.decode("utf-8"))
 
 
 def _axiom_payload(t: tb.Table) -> dict:

@@ -72,7 +72,7 @@ class LaurentPoly(Record):
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly._from_sorted(tuple((e + k, c) for e, c in self.terms))
+        return LaurentPoly._from_sorted(tuple([(e + k, c) for e, c in self.terms]))
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         """self + sign * other by one index merge of the two sorted term
@@ -115,7 +115,7 @@ class LaurentPoly(Record):
         return self._merge(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._from_sorted(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly._from_sorted(tuple([(e, -c) for e, c in self.terms]))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}

@@ -19,9 +19,9 @@ from operator import attrgetter, itemgetter
 Perm = tuple[int, ...]
 
 # The column search fills in every column forced by right
-# self-distributivity, so n = 5 takes a fraction of a second.  At n = 6
-# it and the orbit walk give the published class counts (353 racks, 73
-# quandles), but the labelled rack search alone takes over 10 s.
+# self-distributivity, so n = 5 takes a few tens of milliseconds.  At
+# n = 6, _enumerate_racks gives the published counts in about 2 s each;
+# the cap stays at 5 because the tests run every order up to it.
 MAX_ENUM_ORDER = 5
 
 PRIMARY = "primary"
@@ -584,97 +584,116 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     Searches over n-tuples of column permutations, so right invertibility
     is built in.  Right self-distributivity in column form is
     S_{S_z(y)} = S_z S_y S_z^-1: once S_y and S_z are set, the column at
-    S_z(y) is forced.  The search branches on the lowest unset column,
+    S_z(y) is forced.  The search branches on the lowest unset column k,
     fills in every column forced by the columns set so far, and
-    backtracks on a conflict.  With up_to_iso, keeps one table per
-    isomorphism class: the lexicographically least relabelling, which is
-    canonical_form of each member.  The labelled racks are closed under
-    relabelling, so the classes are their relabelling orbits: each table
-    not yet covered gives one class, found by building its n! relabellings
-    once.  Output is sorted by table rows, so the result order is
-    deterministic.
+    backtracks on a conflict.  Columns are indices into the n!
+    permutations in lexicographic order, and a composition table makes
+    each forced column two list lookups.  The pair (k, k) forces
+    S_{p(k)} = p, and each set column permutes the set columns, so a
+    candidate p must send k to an unset column (quandles: to k itself).
+
+    With up_to_iso, keeps one table per isomorphism class: the
+    lexicographically least relabelling, which is canonical_form of each
+    member.  The labelled racks are closed under relabelling, so the
+    classes are their relabelling orbits.  Relabelling by p moves S_y to
+    position p(y) as p S_y p^-1, one composition lookup per column, so
+    each table not yet covered gives one class, its orbit built as index
+    tuples.  Output is sorted by table rows, so the order is deterministic.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         shown, more = excerpt(str(n))
         raise ValueError(f"order {shown}{more} outside supported range 1..{MAX_ENUM_ORDER}")
-    perms = list(itertools.permutations(range(n)))
-    cols: list[Perm | None] = [None] * n
-    assigned: list[int] = []  # column indices, in the order they were set
-    found: list[tuple[tuple[int, ...], ...]] = []
-    # Tables share equal rows: a few hundred distinct rows make up all
-    # 1,708 racks of order 5.
-    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return _enumerate_racks(n, quandles_only, up_to_iso)
 
-    def force(y: int, z: int) -> bool:
-        # Set or check S_w = S_z S_y S_z^-1 at w = S_z(y); False on a conflict.
-        sy, sz = cols[y], cols[z]
-        sw = [0] * n
-        for x in range(n):
-            sw[sz[x]] = sz[sy[x]]
-        sw = tuple(sw)
-        w = sz[y]
-        if cols[w] is None:
-            # quandle search: sw[w] = S_z(S_y(y)) = w, as each column set fixes its index
-            cols[w] = sw
-            assigned.append(w)
-            return True
-        return cols[w] == sw
+
+def _enumerate_racks(n: int, quandles_only: bool, up_to_iso: bool) -> list[Table]:
+    """enumerate_racks without the order cap."""
+    perms = list(itertools.permutations(range(n)))
+    found = _rack_columns(perms, quandles_only, up_to_iso)
+    # Each index tuple becomes its rows in place once the composition table
+    # is freed; tables share equal rows (a few hundred distinct rows make
+    # up all 1,708 racks of order 5).
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i, c in enumerate(found):
+        found[i] = tuple([shared.setdefault(row, row) for row in zip(*map(perms.__getitem__, c))])
+    found.sort()
+    return [Table._from_rows(rows) for rows in found]
+
+
+def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int, ...]]:
+    """The racks of order n as tuples of column indices into perms, the
+    n! permutations of 0..n-1 in order; with up_to_iso, the member of
+    each relabelling orbit with the least rows."""
+    n = len(perms[0])
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [index[invert_perm(p)] for p in perms]
+    # comp[i][j]: the index of x -> p_j(p_i(x)), where p_i = perms[i]
+    comp = [[index[at(q)] for q in perms] for at in map(_picker, perms)]
+    # by_image[k][v]: the indices of the p with p(k) = v
+    by_image = [[[i for i, p in enumerate(perms) if p[k] == v] for v in range(n)] for k in range(n)]
+    cols = [-1] * n  # the index of each column, -1 while unset
+    assigned: list[int] = []  # column positions, in the order they were set
+    found: list[tuple[int, ...]] = []
 
     def close(start: int) -> bool:
-        # Check each pair of set columns once, when the later of the two
-        # is set; columns forced on the way join the end of the queue.
+        # Check each pair (c, z), (z, c) of set columns once, when the later
+        # is set: set S_w = S_z S_c S_z^-1 at w = S_z(c), or False on a
+        # conflict.  Forced columns join the queue; in the quandle search
+        # they fix their index, as S_w(w) = S_z(S_c(c)) = w.
         i = start
         while i < len(assigned):
             c = assigned[i]
-            for z in assigned[:i]:
-                if not (force(c, z) and force(z, c)):
+            a = cols[c]
+            pa, after_inv_a = perms[a], comp[inv[a]]
+            for z in assigned[:i + 1]:
+                b = cols[z]
+                w, s = perms[b][c], comp[comp[inv[b]][a]][b]
+                t = cols[w]
+                if t < 0:
+                    cols[w] = s
+                    assigned.append(w)
+                elif t != s:
                     return False
-            if not force(c, c):
-                return False
+                w, s = pa[z], comp[after_inv_a[b]][a]
+                t = cols[w]
+                if t < 0:
+                    cols[w] = s
+                    assigned.append(w)
+                elif t != s:
+                    return False
             i += 1
         return True
 
     def search() -> None:
         if len(assigned) == n:
-            found.append(tuple(shared_rows.setdefault(row, row) for row in zip(*cols)))
+            found.append(tuple(cols))
             return
-        k = cols.index(None)
+        k = cols.index(-1)
         mark = len(assigned)
-        for p in perms:
-            if quandles_only and p[k] != k:
-                continue
+        images = (k,) if quandles_only else [v for v in range(n) if cols[v] < 0]
+        for p in [p for v in images for p in by_image[k][v]]:
             cols[k] = p
             assigned.append(k)
             if close(mark):
                 search()
             for c in assigned[mark:]:
-                cols[c] = None
+                cols[c] = -1
             del assigned[mark:]
 
     search()
-    if up_to_iso:
-        found = _orbit_representatives(found, n)
-    return [Table._from_rows(rows) for rows in sorted(found)]
-
-
-def _orbit_representatives(found, n: int):
-    """The least relabelling of each table in a list of raw table rows
-    that is closed under relabelling.
-
-    Walks the list, and for each table not yet covered builds its whole
-    orbit (all n! relabellings), keeps its least member, which is what
-    _canonical_rows returns for every table of the orbit, and covers the
-    rest of the orbit.  So each class costs one orbit, not one canonical
-    form per labelled table.
-    """
-    relabellings = [(invert_perm(q), q) for q in itertools.permutations(range(n))]
+    del search  # it refers to itself through its closure cell; break that cycle
+    if not up_to_iso:
+        return found
+    # relabelling by p puts the conjugate of the column at q(y) at y, q = p^-1
+    moves = [(comp[inv[p]], p, perms[inv[p]]) for p in range(len(perms))]
     uncovered = set(found)
     reps = []
-    for rows in found:
-        if rows in uncovered:
-            orbit = {_relabel_rows(rows, p, q) for p, q in relabellings}
+    for c in found:
+        if c in uncovered:
+            orbit = {tuple([comp[after[c[j]]][p] for j in q]) for after, p, q in moves}
             uncovered -= orbit
-            reps.append(min(orbit))
+            # the member with the least rows
+            reps.append(min(orbit, key=lambda d: tuple(zip(*map(perms.__getitem__, d)))))
     return reps
 
 

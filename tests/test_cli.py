@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -382,6 +386,59 @@ def test_rack_file_structure_errors_name_the_line(text, message, tmp_path, capsy
     code, doc = run(capsys, "validate", str(path))
     assert code == 2
     assert doc["status"] == "error" and doc["diagnostics"] == [message]
+
+
+def _run_cli(argv, **kwargs):
+    """rackq in a fresh interpreter with this tree's src on the path."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "rackq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def _names_the_cap(proc):
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert doc["status"] == "error"
+    (message,) = doc["diagnostics"]
+    assert f"longer than {cli.MAX_TABLE_BYTES} bytes" in message
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_endless_table_input_stops_at_the_cap():
+    writer = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nwhile True: sys.stdout.buffer.write(b'0 ' * 65536)"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        start = time.perf_counter()
+        proc = _run_cli(["validate", "/dev/stdin"], stdin=writer.stdout)
+        assert time.perf_counter() - start < 30
+    finally:
+        writer.kill()
+        writer.wait()
+        writer.stdout.close()
+    _names_the_cap(proc)
+
+
+def test_table_file_one_byte_over_the_cap_is_rejected(tmp_path):
+    path = tmp_path / "sparse.rack"
+    with open(path, "wb") as fh:
+        fh.truncate(cli.MAX_TABLE_BYTES + 1)
+    _names_the_cap(_run_cli(["validate", str(path)]))
+
+
+def test_table_file_at_the_cap_is_read(rack_file, capsys, monkeypatch):
+    path = rack_file("d3.rack", tb.dihedral(3))
+    size = pathlib.Path(path).stat().st_size
+    monkeypatch.setattr(cli, "MAX_TABLE_BYTES", size)
+    code, doc = run(capsys, "validate", path)
+    assert code == 0 and doc["payload"]["is_quandle"]
+    monkeypatch.setattr(cli, "MAX_TABLE_BYTES", size - 1)
+    code, doc = run(capsys, "validate", path)
+    assert code == 2 and doc["diagnostics"] == [
+        f"table file {tb._quoted(path)} is longer than {size - 1} bytes"
+    ]
 
 
 def test_oversized_weight_names_the_weight_bound(capsys):
