@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from operator import attrgetter, itemgetter
 
 Perm = tuple[int, ...]
@@ -185,11 +186,6 @@ def invert_perm(p: Perm) -> Perm:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """The permutation x -> p[q[x]] (apply q first)."""
-    return tuple(p[q[x]] for x in range(len(p)))
 
 
 def perm_order(p: Perm) -> int:
@@ -754,10 +750,16 @@ def parse_rack(text: str) -> Table:
             continue
         if len(rows) == order:
             raise RackParseError(f"line {lineno}: more than {order_text} rows", lineno)
-        tokens = line.split()
+        # keep at most order + 1 tokens, so a long row's surplus is only
+        # counted for the message; maxsplit must fit a C integer, and no
+        # line holds more tokens than characters
+        tokens = line.split(None, min(order, len(line)))
         if len(tokens) != order:
+            got = len(tokens)
+            if got > order:
+                got += sum(1 for _ in re.finditer(r"\S+", tokens[-1])) - 1
             raise RackParseError(
-                f"line {lineno}: expected {order_text} entries, got {len(tokens)}", lineno
+                f"line {lineno}: expected {order_text} entries, got {got}", lineno
             )
         entries = []
         for colno, tok in enumerate(tokens, start=1):

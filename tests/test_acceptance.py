@@ -1,17 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 (run with ``pytest tests/test_acceptance.py -v -s``).  Exact checks are
-exhaustive; sampled checks are seeded and allow zero failures.  Most
-of the suite's time goes to the exhaustive difference-set grid of
-criterion 9.
+exhaustive; sampled checks are seeded and allow zero failures.
+Criteria 3, 4, 5 and 9 run the check lists of ``rackq demo`` at 10,000
+samples and seed 0, so ``rackq demo b_quandle --samples 10000 --seed 0``
+repeats criterion 4 input for input.  Most of the suite's time goes to
+the exhaustive difference-set grid of criterion 9.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 from rackq import congruence as cg
+from rackq import demos
 from rackq import laurent as la
-from rackq import shifts as sh
 from rackq import tables as tb
 from rackq import weighted as wa
 from rackq.congruence import CongruenceClass as CC
@@ -53,81 +54,33 @@ def test_criterion_2_quotients_of_full_congruences_validate():
           f"(and quandles where the source is one)")
 
 
+def _demo_checks(name):
+    """Run the named ``rackq demo`` on the suite's samples and seed, assert
+    each of its checks by name, and return its payload.  The check lists
+    themselves are pinned by tests/data/cli_golden.jsonl."""
+    payload, checks = demos.run(name, SAMPLES, SEED)
+    for check, passed in checks:
+        assert passed, f"demo {name}: {check}"
+    return payload
+
+
 def test_criterion_3_shift_rack_half_congruence():
-    w = sh.half_congruence_witnesses()
-    a, b = w.zeros, w.spike_left
-    assert sh.agree_nonneg(a, b)
-    assert not sh.agree_nonneg(sh.shift(a, sh.RIGHT), sh.shift(b, sh.RIGHT))
-    rng = random.Random(SEED)
-    for _ in range(SAMPLES):
-        x = sh.random_biseq(rng)
-        y = sh.random_agree_partner(rng, x)
-        assert sh.agree_nonneg(sh.shift(x, sh.LEFT), sh.shift(y, sh.LEFT))
+    _demo_checks("b_ell")
     print(f"ACCEPTANCE 3 PASS: shift-rack witness pair exact, left-shift "
           f"direction holds on {SAMPLES} seeded samples")
 
 
 def test_criterion_4_quandle_half_congruence():
-    rng = random.Random(SEED)
-    for _ in range(SAMPLES):
-        a, b, c = (sh.random_biseq(rng) for _ in range(3))
-        assert sh.seq_quandle_op(a, a) == a
-        assert sh.seq_quandle_op(sh.seq_quandle_op(a, b), b, INVERSE) == a
-        assert sh.seq_quandle_op(sh.seq_quandle_op(a, b, INVERSE), b) == a
-        lhs = sh.seq_quandle_op(sh.seq_quandle_op(a, b), c)
-        rhs = sh.seq_quandle_op(sh.seq_quandle_op(a, c), sh.seq_quandle_op(b, c))
-        assert lhs == rhs
-    for _ in range(SAMPLES):
-        a = sh.random_biseq(rng)
-        c = sh.random_agree_partner(rng, a)
-        b = sh.random_biseq(rng)
-        d = sh.random_agree_partner(rng, b)
-        assert sh.agree_nonneg(sh.seq_quandle_op(a, b), sh.seq_quandle_op(c, d))
-
-    w = sh.half_congruence_witnesses()
-    r_spike = sh.shift(w.spike, sh.RIGHT)
-    r_step = sh.shift(w.step, sh.RIGHT)
-    assert sh.agree_nonneg(w.spike, w.step)
-    assert sh.seq_quandle_op(w.spike, w.ones, INVERSE) == r_spike
-    assert sh.seq_quandle_op(w.step, w.ones, INVERSE) == r_step
-    assert not sh.agree_nonneg(r_spike, r_step)
-    # two distinct classes solve X * [ones] = [spike] in the quotient
-    assert sh.agree_nonneg(sh.seq_quandle_op(r_spike, w.ones), w.spike)
-    assert sh.agree_nonneg(sh.seq_quandle_op(r_step, w.ones), w.spike)
+    _demo_checks("b_quandle")
     print(f"ACCEPTANCE 4 PASS: quandle axioms and primary congruence on "
           f"{SAMPLES} seeded samples, inverse-side failure witness exact")
 
 
 def test_criterion_5_presented_quandle_window():
-    window = 20
-    elements = [sh.NormalForm("c")]
-    for k in range(-window, window + 1):
-        elements.append(sh.NormalForm("a", k))
-        elements.append(sh.NormalForm("b", k))
-    for u in elements:
-        assert sh.normal_form_op(u, u) == u
-        for v in elements:
-            assert sh.normal_form_op(sh.normal_form_op(u, v), v, INVERSE) == u
-            assert sh.normal_form_op(sh.normal_form_op(u, v, INVERSE), v) == u
-    for u in elements:
-        for v in elements:
-            uv = sh.normal_form_op(u, v)
-            for z in elements:
-                assert sh.normal_form_op(uv, z) == sh.normal_form_op(
-                    sh.normal_form_op(u, z), sh.normal_form_op(v, z)
-                )
-    images = set()
-    for u in elements:
-        eu = sh.embed_normal_form(u)
-        images.add(eu)
-        for v in elements:
-            for side in (PRIMARY, INVERSE):
-                assert sh.embed_normal_form(sh.normal_form_op(u, v, side)) == \
-                    sh.seq_quandle_op(eu, sh.embed_normal_form(v), side)
-    assert len(images) == len(elements)
+    payload = _demo_checks("b0")
     print(f"ACCEPTANCE 5 PASS: normal-form quandle axioms exhaustive on powers "
-          f"within +-{window} ({len(elements)} elements), embedding is an "
-          f"injective homomorphism for both operations")
+          f"within +-{payload['window']} ({payload['element_count']} elements), "
+          f"embedding is an injective homomorphism for both operations")
 
 
 EXPECTED_CASES = {
@@ -215,12 +168,7 @@ def test_criterion_8_first_isomorphism_theorem():
 
 
 def test_criterion_9_alexander_example():
-    rng = random.Random(SEED)
-    for _ in range(SAMPLES):
-        f, g = la.random_laurent(rng), la.random_laurent(rng)
-        f2 = la.random_relation_partner(rng, f)
-        g2 = la.random_relation_partner(rng, g)
-        assert la.parity_shift_relation(la.alexander_op(f, g), la.alexander_op(f2, g2))
+    _demo_checks("alexander")
 
     polys = [
         la.LaurentPoly(dict(zip(range(-2, 3), coeffs)))

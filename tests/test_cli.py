@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -273,10 +275,6 @@ def test_negative_samples_are_rejected(argv, capsys):
 
 def _answer(argv):
     """(exit code, raw stdout, seconds) of one command, usage errors included."""
-    import contextlib
-    import io
-    import time
-
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -603,10 +601,6 @@ def fuzz_racks(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(value=_FUZZ_VALUES)
 def test_fuzzed_arguments_get_one_json_answer(fuzz_racks, value):
-    import contextlib
-    import io
-    import time
-
     # argparse answers a help flag, or a prefix of --help, with usage text
     assume(not value.startswith(("-h", "--h")))
     d3, c2 = fuzz_racks["d3"], fuzz_racks["c2"]
@@ -618,18 +612,61 @@ def test_fuzzed_arguments_get_one_json_answer(fuzz_racks, value):
         ["hom-check", d3, c2, "--map", value],
         ["iso-check", d3, d3, "--map", value],
     ):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert time.perf_counter() - start < 2.0, argv
-        assert code in (0, 1, 2), argv
-        assert err.getvalue() == "", argv
-        doc = json.loads(out.getvalue())
-        assert (doc["status"] == "error") == (code == 2), argv
+        _assert_one_json_answer(argv)
+
+
+def _assert_one_json_answer(argv):
+    """cli.main(argv) prints one JSON document and nothing on stderr, and
+    exits 0, 1 or 2 (2 exactly for an error document) within 2 s."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out, seconds = _answer(argv)
+    assert seconds < 2.0, argv
+    assert code in (0, 1, 2), argv
+    assert err.getvalue() == "", argv
+    doc = json.loads(out)
+    assert (doc["status"] == "error") == (code == 2), argv
+
+
+# Hypothesis fuzz of .rack file contents: small tables with junk spliced
+# in (invalid UTF-8, NUL, vertical tab, long and odd integer literals,
+# non-ASCII digits), declared orders far above the rows that follow, and
+# raw bytes.
+
+_RACK_JUNK = st.sampled_from([
+    b"\xff", b"\xc3", b"\x00", b"\x0b", b"9" * 30, b"1_0", "\u0663".encode(), b"-1",
+    b"#", b"\n", b"\r", b" ",
+])
+
+
+@st.composite
+def _rack_bytes(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    data = tb.format_rack(tb.Table(tuple(map(tuple, rows)))).encode()
+    if draw(st.booleans()):
+        order = draw(st.one_of(st.integers(n + 1, 10**6), st.integers(10**6, 10**40)))
+        data = str(order).encode() + data[data.index(b"\n"):]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_RACK_JUNK) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_tables") / "fuzzed.rack"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.one_of(_rack_bytes(), st.binary(max_size=60)))
+def test_fuzzed_table_files_get_one_json_answer(fuzz_table_path, data):
+    fuzz_table_path.write_bytes(data)
+    path = str(fuzz_table_path)
+    for argv in (["validate", path], ["inverse", path], ["congruences", path],
+                 ["subrack", path, "--subset", "0"]):
+        _assert_one_json_answer(argv)
 
 
 def test_malformed_subgroup_answer_names_the_bound_and_stays_short(capsys):

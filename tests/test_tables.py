@@ -59,7 +59,7 @@ def test_inverse_dihedral3_is_self():
     assert tb.inverse_table(DIHEDRAL3) == DIHEDRAL3
     for y in range(3):
         col = DIHEDRAL3.column(y)
-        assert tb.compose(col, col) == (0, 1, 2)
+        assert tuple(col[x] for x in col) == (0, 1, 2)
 
 
 def test_inverse_constant_action_inverts_the_bijection():
@@ -579,6 +579,28 @@ def test_parse_rack_other_errors():
         tb.parse_rack("2\n0 1\n")
     with pytest.raises(tb.RackParseError):
         tb.parse_rack("")
+    # every entry of a wrong row is counted, also past the order
+    for text, got in (("2\n0 1 1\n1 0\n", 3), ("2\n0\t1 \xa01\u20000 \u3000 1\n1 0\n", 5),
+                      (f"{10**30}\n0 1\n", 2)):
+        with pytest.raises(tb.RackParseError, match=f"line 2: expected [0-9]+ entries, got {got}$"):
+            tb.parse_rack(text)
+
+
+def test_parse_rack_counts_a_long_row_without_keeping_it():
+    # a 2.1 MB row of 700,000 entries in an order-1 table: only the order
+    # plus one tokens are kept, the rest are counted for the message
+    import tracemalloc
+
+    text = "1\n" + "10 " * 700_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(tb.RackParseError) as info:
+            tb.parse_rack(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 2: expected 1 entries, got 700000"
+    assert peak < 5 * len(text)
 
 
 # ---------------------------------------------------------------------------
