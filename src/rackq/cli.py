@@ -38,7 +38,8 @@ def _load_table(path: str) -> tb.Table:
         data = fh.read(MAX_TABLE_BYTES + 1)
     if len(data) > MAX_TABLE_BYTES:
         raise ValueError(f"table file {tb._quoted(path)} is longer than {MAX_TABLE_BYTES} bytes")
-    # splitlines in parse_rack ends lines at \r\n and \r as text mode did
+    # parse_rack ends lines where str.splitlines does, at \r\n and \r as
+    # text mode did
     return tb.parse_rack(data.decode("utf-8"))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .tables import PRIMARY, Record, _quoted, side_sign
+from .tables import PRIMARY, Record, _draw, _quoted, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -346,8 +346,11 @@ def format_laurent(p: LaurentPoly) -> str:
 
 
 def random_laurent(rng, lo: int = -4, hi: int = 4, cmax: int = 3) -> LaurentPoly:
-    """Coefficient uniform in [-cmax, cmax] for every exponent in [lo, hi]."""
-    return LaurentPoly({e: rng.randint(-cmax, cmax) for e in range(lo, hi + 1)})
+    """Coefficient uniform in [-cmax, cmax] for every exponent in [lo, hi],
+    drawn from the lowest exponent up; on a random.Random the draws are
+    bit for bit those of rng.randrange(-cmax, cmax + 1)."""
+    bits = rng.getrandbits
+    return LaurentPoly({e: _draw(bits, -cmax, cmax) for e in range(lo, hi + 1)})
 
 
 def random_relation_partner(rng, f: LaurentPoly) -> LaurentPoly:

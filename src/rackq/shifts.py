@@ -17,7 +17,7 @@ the witnesses for the failure are produced by half_congruence_witnesses.
 
 from __future__ import annotations
 
-from .tables import PRIMARY, Record, _quoted, side_sign
+from .tables import PRIMARY, Record, _draw, _quoted, side_sign
 
 LEFT = "left"
 RIGHT = "right"
@@ -41,11 +41,21 @@ class BiSeq(Record):
         word = tuple(word)
         if any(b not in (0, 1) for b in word):
             raise ValueError("word bits must be 0 or 1")
-        # the word begins at its first bit other than left_tail
-        try:
-            lo = word.index(1 - left_tail)
-        except ValueError:
-            lo = len(word)
+        self._canonicalise(left_tail, start, word, right_tail)
+
+    @classmethod
+    def _from_bits(cls, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
+        # Fast path for the samplers: tail bits and a word tuple that are
+        # 0 or 1 by construction, canonicalised but not checked.
+        obj = object.__new__(cls)
+        obj._canonicalise(left_tail, start, word, right_tail)
+        return obj
+
+    def _canonicalise(self, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
+        # Set the fields from checked bits, canonically: the word begins
+        # at its first bit other than left_tail (a membership test is
+        # cheaper than the ValueError of index when there is none).
+        lo = word.index(1 - left_tail) if 1 - left_tail in word else len(word)
         hi = len(word)
         while hi > lo and word[hi - 1] == right_tail:
             hi -= 1
@@ -53,10 +63,11 @@ class BiSeq(Record):
             start = 0
         else:
             start += lo
-        object.__setattr__(self, "left_tail", left_tail)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "word", word[lo:hi])
-        object.__setattr__(self, "right_tail", right_tail)
+        set_field = object.__setattr__
+        set_field(self, "left_tail", left_tail)
+        set_field(self, "start", start)
+        set_field(self, "word", word[lo:hi])
+        set_field(self, "right_tail", right_tail)
 
     @classmethod
     def _moved(cls, a: "BiSeq", start: int) -> "BiSeq":
@@ -294,9 +305,19 @@ def format_biseq(a: BiSeq) -> str:
 def random_biseq(rng) -> BiSeq:
     """Canonical random sequence: uniform tail bits, a uniform word of
     length 0..8, start uniform in [-8, 8].  Used by every seeded property
-    suite; keep the distribution stable."""
-    word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
-    return BiSeq(rng.randint(0, 1), rng.randint(-8, 8), word, rng.randint(0, 1))
+    suite; keep the distribution stable.  On a random.Random the draws
+    are bit for bit those of rng.randrange over each range: the length,
+    each word bit, the left tail, the start and the right tail, in that
+    order."""
+    bits = rng.getrandbits
+    length = _draw(bits, 0, 8)
+    word = []
+    while len(word) < length:
+        # a bit is 2 fresh bits, drawn again when they read 2 or 3
+        r = bits(2)
+        if r < 2:
+            word.append(r)
+    return BiSeq._from_bits(_draw(bits, 0, 1), _draw(bits, -8, 8), tuple(word), _draw(bits, 0, 1))
 
 
 def random_agree_partner(rng, a: BiSeq) -> BiSeq:
@@ -305,7 +326,11 @@ def random_agree_partner(rng, a: BiSeq) -> BiSeq:
     lo, hi = min(-10, a.start), max(a.end, 1)
     # the bits at indices lo .. hi - 1
     bits = [a.left_tail] * (a.start - lo) + list(a.word) + [a.right_tail] * (hi - a.end)
+    draw, coin = rng.getrandbits, rng.random
     for off in range(-lo):
-        if rng.random() < 0.5:
-            bits[off] = rng.randint(0, 1)
-    return BiSeq(rng.randint(0, 1), lo, tuple(bits), a.right_tail)
+        if coin() < 0.5:
+            r = draw(2)
+            while r >= 2:
+                r = draw(2)
+            bits[off] = r
+    return BiSeq._from_bits(_draw(draw, 0, 1), lo, tuple(bits), a.right_tail)

@@ -41,6 +41,21 @@ def side_sign(side: str) -> int:
     raise ValueError(f"side must be {PRIMARY!r} or {INVERSE!r}")
 
 
+def _draw(bits, lo: int, hi: int) -> int:
+    """rng.randrange(lo, hi + 1) for bits = rng.getrandbits of a
+    random.Random: the same value from the same bits, without the three
+    Python frames of the library call.  Like CPython's
+    _randbelow_with_getrandbits (3.10-3.13), it draws n.bit_length()
+    bits for the n = hi - lo + 1 values and draws again while they read
+    n or more."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return lo + r
+
+
 def excerpt(text: str) -> tuple[str, str]:
     """What an error message echoes of outside input: the first
     EXCERPT_CHARS characters of text, and a note of its full length when
@@ -727,12 +742,29 @@ def halve_op(x: int, y: int) -> int:
 # ---------------------------------------------------------------------------
 # .rack text format
 
+# The line boundaries of str.splitlines, compiled on the first parse (by
+# the re module's cache), not when a command that parses nothing imports
+# this module.
+_LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85]|\u2028|\u2029"
+
+
+def _lines(text: str):
+    """The lines of text.splitlines(), one at a time, so that a reader
+    holds no more than one line beside the text."""
+    pos = 0
+    for brk in re.finditer(_LINE_BREAK, text):
+        yield text[pos:brk.start()]
+        pos = brk.end()
+    if pos < len(text):
+        yield text[pos:]
+
+
 def parse_rack(text: str) -> Table:
     """Parse the ``.rack`` format: order on the first data line, then one
     row of 0-based entries per line; '#' starts a comment line."""
     order = None
     rows: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -750,19 +782,15 @@ def parse_rack(text: str) -> Table:
             continue
         if len(rows) == order:
             raise RackParseError(f"line {lineno}: more than {order_text} rows", lineno)
-        # keep at most order + 1 tokens, so a long row's surplus is only
-        # counted for the message; maxsplit must fit a C integer, and no
-        # line holds more tokens than characters
-        tokens = line.split(None, min(order, len(line)))
-        if len(tokens) != order:
-            got = len(tokens)
-            if got > order:
-                got += sum(1 for _ in re.finditer(r"\S+", tokens[-1])) - 1
+        # count the tokens before splitting, so a row of the wrong length
+        # is rejected without holding its tokens
+        got = sum(1 for _ in re.finditer(r"\S+", line))
+        if got != order:
             raise RackParseError(
                 f"line {lineno}: expected {order_text} entries, got {got}", lineno
             )
         entries = []
-        for colno, tok in enumerate(tokens, start=1):
+        for colno, tok in enumerate(line.split(), start=1):
             try:
                 e = int(tok)
             except ValueError:

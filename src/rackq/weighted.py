@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .congruence import _CLASS_OF, CongruenceClass
-from .tables import PRIMARY, INVERSE, Record, _quoted, side_sign
+from .tables import PRIMARY, INVERSE, Record, _draw, _quoted, side_sign
 
 
 class Weight(Record):
@@ -156,7 +156,8 @@ class SubgroupDescriptor(Record):
         """Random element: g*k/m^l with k in [-100, 100], l in [0, 4]
         for scaled descriptors; numerator [-100, 100] over denominator
         [1, 16] for the full group.  Fixed distributions keep the seeded
-        suites reproducible."""
+        suites reproducible: on a random.Random the draws are bit for
+        bit those of rng.randrange over each range (k, then l)."""
         return Fraction(*self._sample_pair(rng))
 
     def _sample_pair(self, rng: random.Random) -> tuple[int, int]:
@@ -165,8 +166,8 @@ class SubgroupDescriptor(Record):
             return 0, 1
         if self.kind == "all":
             return _rational_pair(rng)
-        g = self.g
-        return g.numerator * rng.randint(-100, 100), g.denominator * self.m ** rng.randint(0, 4)
+        bits, g = rng.getrandbits, self.g
+        return g.numerator * _draw(bits, -100, 100), g.denominator * self.m ** _draw(bits, 0, 4)
 
     def describe(self) -> str:
         if self.kind != "scaled":
@@ -248,7 +249,8 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def _rational_pair(rng: random.Random) -> tuple[int, int]:
     # random_rational as an unreduced (numerator, denominator) pair
-    return rng.randint(-100, 100), rng.randint(1, 16)
+    bits = rng.getrandbits
+    return _draw(bits, -100, 100), _draw(bits, 1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +318,43 @@ def sampled_congruence_check(
     t = _side_weight(w, side)
     tp, tq = t.numerator, t.denominator
     sp = tq - tp
-    sample, contains = d._sample_pair, d._contains_pair
-    rng = random.Random(seed)
+    # a and b are drawn as random_rational draws them and u and v as
+    # d.sample does, bit for bit as rng.randrange would (tables._draw):
+    # each numerator from 8 bits below 201, each denominator of a and b
+    # from 5 bits below 16, and that of u and v as an index into dens
+    # (the zero descriptor draws no u and v).
+    if d.kind == "zero":
+        gn, dens = 0, ()
+    elif d.kind == "all":
+        gn, dens = 1, tuple(range(1, 17))
+    else:
+        gn, dens = d.g.numerator, tuple(d.g.denominator * d.m ** l for l in range(5))
+    nd = len(dens)
+    kd = nd.bit_length()
+    contains = d._contains_pair
+    bits = random.Random(seed).getrandbits
+    un = vn = 0
+    ud = vd = 1
     for _ in range(samples):
-        an, ad = _rational_pair(rng)
-        bn, bd = _rational_pair(rng)
-        un, ud = sample(rng)
-        vn, vd = sample(rng)
+        while (an := bits(8)) > 200:
+            pass
+        while (ad := bits(5)) > 15:
+            pass
+        while (bn := bits(8)) > 200:
+            pass
+        while (bd := bits(5)) > 15:
+            pass
+        an, ad, bn, bd = an - 100, ad + 1, bn - 100, bd + 1
+        if nd:
+            while (un := bits(8)) > 200:
+                pass
+            while (ud := bits(kd)) >= nd:
+                pass
+            while (vn := bits(8)) > 200:
+                pass
+            while (vd := bits(kd)) >= nd:
+                pass
+            un, ud, vn, vd = gn * (un - 100), dens[ud], gn * (vn - 100), dens[vd]
         cn, cd = an * ud + un * ad, ad * ud  # c = a + u
         en, ed = bn * vd + vn * bd, bd * vd  # e = b + v
         num_ab, den_ab = tp * an * bd + sp * bn * ad, tq * ad * bd

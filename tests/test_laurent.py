@@ -163,6 +163,32 @@ def test_relation_respects_primary_op_on_samples():
         )
 
 
+# the samplers as they drew through rng.randint, kept as the references
+# for the getrandbits draws
+
+def reference_random_laurent(rng, lo=-4, hi=4, cmax=3):
+    return LaurentPoly({e: rng.randint(-cmax, cmax) for e in range(lo, hi + 1)})
+
+
+def reference_relation_partner(rng, f):
+    d = (T - ONE) * reference_random_laurent(rng, 0, 4)
+    if rng.random() < 0.5:
+        d = d + LaurentPoly.constant(la._parity_constant(la.eval_at_one(f)))
+    return f + d
+
+
+def test_samplers_draw_the_randint_references():
+    for seed in (0, 5, 21):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            f = la.random_laurent(rng)
+            assert f == reference_random_laurent(ref)
+            assert la.random_relation_partner(rng, f) == reference_relation_partner(ref, f)
+            assert la.random_laurent(rng, -2, 2, 2) == reference_random_laurent(ref, -2, 2, 2)
+            assert la.random_laurent(rng, 0, 6, 0) == reference_random_laurent(ref, 0, 6, 0)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_common_difference_set_examples():
     assert la.in_common_difference_set(T - ONE)
     assert not la.in_common_difference_set(ONE)

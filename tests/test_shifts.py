@@ -428,3 +428,36 @@ def test_samplers_draw_the_pinned_sequences():
     assert digest == "b96af15ca05e6e115dbd27e38424e0a60d5c5a6173c1fcba0276fe0d2807409d"
     digest = hashlib.sha256("\n".join(draws).encode()).hexdigest()
     assert digest == "8c7a1091d51bf676c55a47630619171e7d239b76b22fdb874d8dc04a6a39b111"
+
+
+# the samplers as they drew through rng.randint and the checking
+# constructor, kept as the references for the getrandbits draws
+
+def reference_random_biseq(rng):
+    word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
+    return BiSeq(rng.randint(0, 1), rng.randint(-8, 8), word, rng.randint(0, 1))
+
+
+def reference_agree_partner(rng, a):
+    lo, hi = min(-10, a.start), max(a.end, 1)
+    bits = [a.left_tail] * (a.start - lo) + list(a.word) + [a.right_tail] * (hi - a.end)
+    for off in range(-lo):
+        if rng.random() < 0.5:
+            bits[off] = rng.randint(0, 1)
+    return BiSeq(rng.randint(0, 1), lo, tuple(bits), a.right_tail)
+
+
+def test_samplers_draw_the_randint_references():
+    for seed in (0, 1, 77):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3000):
+            a = sh.random_biseq(rng)
+            assert a == reference_random_biseq(ref)
+            b = sh.random_agree_partner(rng, a)
+            assert b == reference_agree_partner(ref, a)
+            # sampled sequences are canonical: the checking constructor
+            # gives them back field for field
+            for x in (a, b):
+                assert type(x.word) is tuple
+                assert repr(x) == repr(BiSeq(x.left_tail, x.start, x.word, x.right_tail))
+        assert rng.getstate() == ref.getstate()

@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -601,6 +603,76 @@ def test_parse_rack_counts_a_long_row_without_keeping_it():
         tracemalloc.stop()
     assert str(info.value) == "line 2: expected 1 entries, got 700000"
     assert peak < 5 * len(text)
+
+
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@given(st.lists(st.sampled_from(LINE_BREAKS + ("", "0", " 1", "\t", "\x1f", "\xa0", "#"))))
+def test_lines_end_where_splitlines_ends_them(pieces):
+    text = "".join(pieces)
+    assert list(tb._lines(text)) == text.splitlines()
+
+
+def test_parse_rack_numbers_lines_across_every_line_break():
+    for brk in LINE_BREAKS:
+        text = brk.join(["# a", "", "2", "0 1", "1 x", "1 0"])
+        with pytest.raises(tb.RackParseError) as info:
+            tb.parse_rack(text)
+        assert str(info.value) == "line 5, column 2: not an integer: 'x'"
+
+
+def traced_peak(text):
+    # the tracemalloc peak of parse_rack(text), which must reject text
+    tracemalloc.start()
+    try:
+        with pytest.raises(tb.RackParseError) as info:
+            tb.parse_rack(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+def test_parse_rack_holds_one_line_at_a_time():
+    # 20,000 comment lines and one 20,000-character line: the lines are
+    # read one at a time (all of them at once took about 15 bytes per
+    # character of the text)
+    longest = "#" + "y" * 19_999
+    for brk in ("\n", "\r\n", "\u2028"):
+        text = brk.join(["# x"] * 10_000 + [longest] + ["# x"] * 10_000) + brk
+        message, peak = traced_peak(text)
+        assert message == "empty input"
+        assert peak < 4 * len(longest)
+
+
+def test_parse_rack_counts_a_row_one_entry_short_without_keeping_it():
+    # a declared order of 55,925 and one row of 55,924 entries: the row is
+    # rejected on its count, its 55,924 tokens are never held
+    order = 55_925
+    row = " ".join(["10"] * (order - 1))
+    message, peak = traced_peak(f"{order}\n{row}\n")
+    assert message == f"line 2: expected {order} entries, got {order - 1}"
+    assert peak < 2 * len(row)
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+
+def test_draw_is_randint_bit_for_bit():
+    widths = (1, 2, 3, 5, 9, 16, 17, 201) + tuple(
+        2 ** k + d for k in (2, 3, 5, 8, 16, 40) for d in (-1, 0, 1)
+    )
+    for seed in (0, 1, 2014):
+        for width in widths:
+            lo = seed - width // 2
+            hi = lo + width - 1
+            rng, ref = random.Random(seed), random.Random(seed)
+            bits = rng.getrandbits
+            assert [tb._draw(bits, lo, hi) for _ in range(10_000)] == [
+                ref.randint(lo, hi) for _ in range(10_000)
+            ], (seed, width)
+            assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

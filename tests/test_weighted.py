@@ -353,6 +353,21 @@ def reference_sample(d, rng):
     return d.g * F(rng.randint(-100, 100), d.m ** rng.randint(0, 4))
 
 
+# the pair samplers as they drew through rng.randint, kept as the
+# references for the getrandbits draws
+
+def reference_rational_pair(rng):
+    return rng.randint(-100, 100), rng.randint(1, 16)
+
+
+def reference_sample_pair(d, rng):
+    if d.kind == "zero":
+        return 0, 1
+    if d.kind == "all":
+        return reference_rational_pair(rng)
+    return d.g.numerator * rng.randint(-100, 100), d.g.denominator * d.m ** rng.randint(0, 4)
+
+
 def reference_contains(d, x):
     if d.kind == "zero":
         return x == 0
@@ -388,6 +403,49 @@ def test_samplers_draw_the_reference_sequences():
             assert wa.random_rational(rng) == reference_random_rational(ref)
             assert d.sample(rng) == reference_sample(d, ref)
         assert rng.getstate() == ref.getstate()
+
+
+def test_pair_samplers_draw_the_reference_pairs():
+    for seed in (0, 9):
+        for d in REFERENCE_DESCRIPTORS:
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(1000):
+                assert wa._rational_pair(rng) == reference_rational_pair(ref)
+                assert d._sample_pair(rng) == reference_sample_pair(d, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+class RecordingRandom(random.Random):
+    """random.Random that records every getrandbits call and the instances
+    made; overriding getrandbits keeps the draws of randint unchanged."""
+
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+        RecordingRandom.made.append(self)
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.calls.append((k, r))
+        return r
+
+
+def test_sampled_check_draws_the_bits_of_the_fraction_reference(monkeypatch):
+    # the inline draws of sampled_congruence_check read the same bits, in
+    # the same order, as the Fraction loop that drew through randint
+    monkeypatch.setattr(wa.random, "Random", RecordingRandom)
+    for w in REFERENCE_WEIGHTS[:3]:
+        for d in REFERENCE_DESCRIPTORS:
+            for side in (PRIMARY, INVERSE):
+                RecordingRandom.made.clear()
+                got = wa.sampled_congruence_check(d, w, side, 60, 4)
+                expected = reference_sampled_check(d, w, side, 60, 4)
+                rng, ref = RecordingRandom.made
+                assert got == expected
+                assert rng.calls == ref.calls, (w, d, side)
+                assert rng.getstate() == ref.getstate()
 
 
 def test_sampled_check_matches_the_fraction_reference():
