@@ -34,13 +34,6 @@ class LaurentPoly(Record):
         )
 
     @classmethod
-    def _from_sorted(cls, terms: tuple) -> "LaurentPoly":
-        # Fast path for arithmetic: terms already sorted with no zeros.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        return obj
-
-    @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
@@ -72,41 +65,47 @@ class LaurentPoly(Record):
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly._from_sorted(tuple([(e + k, c) for e, c in self.terms]))
+        _set_terms(p := _new(LaurentPoly), tuple([(e + k, c) for e, c in self.terms]))
+        return p
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other by one index merge of the two sorted term
-        lists.  The left operand's terms are appended as they are, so a
-        call builds tuples only for the right operand's terms and for
-        exponents the two share."""
-        a, b = self.terms, other.terms
-        na, nb = len(a), len(b)
-        i = j = 0
+        """self + sign * other: one pass over the left operand's terms, kept
+        as they are, against the right's by index; the rest added in one step."""
+        b = other.terms
+        nb = len(b)
+        if not nb:
+            return self
         out = []
         append = out.append
-        while i < na and j < nb:
-            ta = a[i]
+        eb, cb = b[0]
+        j = 0
+        rest = iter(self.terms)
+        for ta in rest:
             ea = ta[0]
-            eb, cb = b[j]
-            if ea < eb:
-                append(ta)
-                i += 1
-            elif ea > eb:
+            while eb < ea:
                 append((eb, sign * cb))
                 j += 1
+                if j == nb:
+                    append(ta)
+                    break
+                eb, cb = b[j]
             else:
+                if ea < eb:
+                    append(ta)
+                    continue
                 c = ta[1] + sign * cb
                 if c:
                     append((ea, c))
-                i += 1
                 j += 1
-        if i < na:
-            out += a[i:]
-        while j < nb:
-            eb, cb = b[j]
-            append((eb, sign * cb))
-            j += 1
-        return LaurentPoly._from_sorted(tuple(out))
+                if j < nb:
+                    eb, cb = b[j]
+                    continue
+            out += rest  # b has ended
+            break
+        else:
+            out += b[j:] if sign == 1 else [(e, -c) for e, c in b[j:]]
+        _set_terms(p := _new(LaurentPoly), tuple(out))
+        return p
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._merge(other, 1)
@@ -115,7 +114,8 @@ class LaurentPoly(Record):
         return self._merge(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._from_sorted(tuple([(e, -c) for e, c in self.terms]))
+        _set_terms(p := _new(LaurentPoly), tuple([(e, -c) for e, c in self.terms]))
+        return p
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
@@ -123,11 +123,16 @@ class LaurentPoly(Record):
             for e2, c2 in other.terms:
                 key = e1 + e2
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly._from_sorted(tuple(sorted(t for t in out.items() if t[1])))
+        _set_terms(p := _new(LaurentPoly), tuple(sorted(t for t in out.items() if t[1])))
+        return p
 
     def __str__(self) -> str:
         return format_laurent(self)
 
+
+# Trusted constructor, terms sorted with no zero: _set_terms(p := _new(LaurentPoly), terms).
+_new = object.__new__
+_set_terms = LaurentPoly.terms.__set__
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
@@ -152,18 +157,16 @@ def in_poly_ring(p: LaurentPoly) -> bool:
 def alexander_op(f: LaurentPoly, g: LaurentPoly, side: str = PRIMARY) -> LaurentPoly:
     """t*f + (1-t)*g, or the inverse-side formula with 1/t for t.
 
-    Computed as t^k*f + g - t^k*g with k = 1 or -1: two shifts and two
+    Computed as t^k*(f - g) + g with k = 1 or -1: one shift and two
     merges, no products."""
-    k = side_sign(side)
-    return f.shifted(k) + g - g.shifted(k)
+    return (f - g).shifted(side_sign(side)) + g
 
 
 # ---------------------------------------------------------------------------
 # the parity-shift relation and its difference sets
 
 def _parity_constant(total: int) -> int:
-    """The constant difference allowed at an element with coefficient sum
-    total: +1 when total is even, -1 when it is odd."""
+    """+1 at an element with even coefficient sum total, -1 at an odd one."""
     return -1 if total % 2 else 1
 
 
@@ -173,15 +176,19 @@ def parity_shift_relation(f: LaurentPoly, g: LaurentPoly) -> bool:
 
     Decided on the terms without forming g - f: the difference lies in
     Z[t] exactly when f and g have the same negative-exponent terms, and
-    its coefficient sum is eval_at_one(g) - eval_at_one(f).
+    its coefficient sum is eval_at_one(g) - eval_at_one(f), summed inline.
     """
     a, b = f.terms, g.terms
     k = bisect_left(a, (0,))  # number of negative exponents in f
     if a[:k] != b[:k] or (len(b) > k and b[k][0] < 0):
         return False
-    ef = eval_at_one(f)
-    d = eval_at_one(g) - ef
-    return d == 0 or d == _parity_constant(ef)
+    ef = 0
+    for _, c in a:
+        ef += c
+    d = -ef
+    for _, c in b:
+        d += c
+    return d == 0 or d == (-1 if ef % 2 else 1)
 
 
 def in_common_difference_set(p: LaurentPoly) -> bool:
@@ -197,10 +204,18 @@ def in_difference_set(f: LaurentPoly, d: LaurentPoly) -> bool:
 
     A constant shift keeps d in or out of Z[t] and moves its coefficient
     sum by the constant, so no shifted polynomial is built."""
-    if not in_poly_ring(d):
+    terms = d.terms
+    if terms and terms[0][0] < 0:
         return False
-    s = eval_at_one(d)
-    return s == 0 or s == _parity_constant(eval_at_one(f))
+    s = 0
+    for _, c in terms:
+        s += c
+    if not s:
+        return True
+    ef = 0
+    for _, c in f.terms:
+        ef += c
+    return s == (-1 if ef % 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +257,25 @@ class PrincipalSubmodule(Record):
 
 def _exact_divides(num: LaurentPoly, den: LaurentPoly) -> bool:
     """Whether den divides num in Z[t] with an integer quotient; both
-    arguments have valuation 0, den nonzero."""
+    arguments have valuation 0, den nonzero; dense long division."""
     if num.is_zero:
         return True
     width = num.max_exp + 1
     rem = [0] * width
     for e, c in num.terms:
         rem[e] = c
-    dense_den = [0] * (den.max_exp + 1)
-    for e, c in den.terms:
-        dense_den[e] = c
-    deg = len(dense_den) - 1
-    lead = dense_den[-1]
+    *lower, (deg, lead) = den.terms
     for top in range(width - 1, deg - 1, -1):
         c = rem[top]
-        if c == 0:
-            continue
-        if c % lead:
-            return False
-        q = c // lead
-        off = top - deg
-        for i, dc in enumerate(dense_den):
-            rem[off + i] -= q * dc
-    return all(c == 0 for c in rem)
+        if c:
+            if c % lead:
+                return False
+            q = c // lead
+            off = top - deg
+            rem[top] = 0
+            for e, dc in lower:
+                rem[off + e] -= q * dc
+    return not any(rem)
 
 
 def submodule_relation(m: PrincipalSubmodule, f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -354,9 +365,8 @@ def random_laurent(rng, lo: int = -4, hi: int = 4, cmax: int = 3) -> LaurentPoly
 
 
 def random_relation_partner(rng, f: LaurentPoly) -> LaurentPoly:
-    """Random g related to f under parity_shift_relation: add a multiple
-    of t - 1 (always an allowed difference) and, half the time, the
-    parity-dependent constant."""
+    """Random g related to f under parity_shift_relation: f plus a multiple
+    of t - 1 (always allowed) and, half the time, the parity constant."""
     d = (T - ONE) * random_laurent(rng, 0, 4)
     if rng.random() < 0.5:
         d = d + LaurentPoly.constant(_parity_constant(eval_at_one(f)))

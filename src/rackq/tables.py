@@ -631,6 +631,31 @@ def _enumerate_racks(n: int, quandles_only: bool, up_to_iso: bool) -> list[Table
     return [Table._from_rows(rows) for rows in found]
 
 
+def _composition_table(perms, index) -> list[tuple[int, ...]]:
+    """comp[i][j]: the index of x -> p_j(p_i(x)), where p_i = perms[i] and
+    perms[0] is the identity.  Only the rows of the adjacent transpositions
+    look permutations up; if p_i is p_a followed by a transposition p_g,
+    row i is row a read at the entries of row g, in one C call."""
+    n, count = len(perms[0]), len(perms)
+    comp: list = [None] * count
+    comp[0] = tuple(range(count))
+    gens = []
+    for k in range(n - 1):
+        g = index[(*range(k), k + 1, k, *range(k + 2, n))]
+        at = _picker(perms[g])
+        comp[g] = tuple([index[at(q)] for q in perms])
+        gens.append(g)
+    built = [0, *gens]  # the rows built so far, each extended by every generator
+    for a in built:
+        row = comp[a]
+        for g in gens:
+            i = row[g]
+            if comp[i] is None:
+                comp[i] = _picker(comp[g])(row)
+                built.append(i)
+    return comp
+
+
 def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int, ...]]:
     """The racks of order n as tuples of column indices into perms, the
     n! permutations of 0..n-1 in order; with up_to_iso, the member of
@@ -638,8 +663,7 @@ def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int
     n = len(perms[0])
     index = {p: i for i, p in enumerate(perms)}
     inv = [index[invert_perm(p)] for p in perms]
-    # comp[i][j]: the index of x -> p_j(p_i(x)), where p_i = perms[i]
-    comp = [[index[at(q)] for q in perms] for at in map(_picker, perms)]
+    comp = _composition_table(perms, index)
     # by_image[k][v]: the indices of the p with p(k) = v
     by_image = [[[i for i, p in enumerate(perms) if p[k] == v] for v in range(n)] for k in range(n)]
     cols = [-1] * n  # the index of each column, -1 while unset

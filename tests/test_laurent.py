@@ -413,7 +413,7 @@ def _merge_reference(p, q, sign):
             j += 1
     out.extend(a[i:])
     out.extend((e, sign * c) for e, c in b[j:])
-    return LaurentPoly._from_sorted(tuple(out))
+    return LaurentPoly(tuple(out))
 
 
 def _mul_reference(p, q):
@@ -466,6 +466,13 @@ def arithmetic_pairs(draw):
 @given(arithmetic_pairs())
 def test_arithmetic_matches_the_reference_term_loops(pair):
     _assert_arithmetic_matches_reference(*pair)
+    f, g = pair
+    for side in (PRIMARY, INVERSE):
+        assert la.alexander_op(f, g, side).terms == reference_alexander_op(f, g, side).terms
+    # shifts and negation against the public constructor
+    for k in (-7, 0, 3):
+        assert f.shifted(k).terms == LaurentPoly([(e + k, c) for e, c in f.terms]).terms
+    assert (-g).terms == LaurentPoly([(e, -c) for e, c in g.terms]).terms
 
 
 def test_arithmetic_matches_the_reference_term_loops_on_grid_rows():
@@ -477,3 +484,83 @@ def test_arithmetic_matches_the_reference_term_loops_on_grid_rows():
     for f in polys[::125]:
         for g in polys:
             _assert_arithmetic_matches_reference(f, g)
+
+
+# ---------------------------------------------------------------------------
+# submodule membership against the dense division it replaced
+
+def _exact_divides_reference(num, den):
+    """Long division subtracting den's whole dense row at every step."""
+    if num.is_zero:
+        return True
+    width = num.max_exp + 1
+    rem = [0] * width
+    for e, c in num.terms:
+        rem[e] = c
+    dense_den = [0] * (den.max_exp + 1)
+    for e, c in den.terms:
+        dense_den[e] = c
+    deg = len(dense_den) - 1
+    lead = dense_den[-1]
+    for top in range(width - 1, deg - 1, -1):
+        c = rem[top]
+        if c == 0:
+            continue
+        if c % lead:
+            return False
+        q = c // lead
+        off = top - deg
+        for i, dc in enumerate(dense_den):
+            rem[off + i] -= q * dc
+    return all(c == 0 for c in rem)
+
+
+def _contains_reference(m, d):
+    if d.is_zero:
+        return True
+    h0 = m.generator.shifted(-m.generator.min_exp)
+    if m.ring == la.LAURENT_RING:
+        return _exact_divides_reference(d.shifted(-d.min_exp), h0)
+    shifted = d.shifted(-m.generator.min_exp)
+    if shifted.min_exp < 0:
+        return False
+    return _exact_divides_reference(shifted, h0)
+
+
+# non-unit and negative leads, zero middle coefficients
+DIVISION_GENERATORS = ("2", "-3t + 1", "2t^2 - 1", "t^2 + 1", "t^3 - 2", "t - 1", "-t^4 + 3t")
+
+
+@st.composite
+def membership_cases(draw):
+    """(submodule, d): d a multiple of the generator, a multiple plus one
+    term, or any polynomial; generator and d may have negative exponents."""
+    gen = la.parse_laurent(draw(st.sampled_from(DIVISION_GENERATORS)))
+    gen = gen.shifted(draw(st.integers(-3, 3)))
+    m = la.PrincipalSubmodule(gen, draw(st.sampled_from((la.POLY_RING, la.LAURENT_RING))))
+    q = lp(draw(poly_terms))
+    kind = draw(st.sampled_from(("multiple", "perturbed", "any")))
+    if kind == "any":
+        return m, q
+    d = gen * q
+    if kind == "perturbed":
+        d = d + lp({draw(st.integers(-8, 12)): draw(st.sampled_from((-2, -1, 1, 3)))})
+    return m, d
+
+
+@given(membership_cases())
+def test_contains_matches_the_dense_division_reference(case):
+    m, d = case
+    assert m.contains(d) == _contains_reference(m, d)
+
+
+def test_dense_division_reference_cases_reach_both_answers():
+    for text in DIVISION_GENERATORS:
+        gen = la.parse_laurent(text)
+        for ring in (la.POLY_RING, la.LAURENT_RING):
+            m = la.PrincipalSubmodule(gen, ring)
+            multiple = gen * la.parse_laurent("t^-2 + 5 - t^3")
+            off = multiple + ONE
+            assert m.contains(multiple) == _contains_reference(m, multiple)
+            assert m.contains(off) == _contains_reference(m, off)
+            assert not m.contains(off) and m.contains(multiple) == (ring == la.LAURENT_RING)

@@ -312,6 +312,19 @@ def test_enumeration_matches_the_permutation_tuple_search(quandles_only, up_to_i
         assert all(first.setdefault(row, row) is row for t in tables for row in t.rows)
 
 
+def _composition_table_reference(perms, index):
+    """The composition table with one permutation lookup per entry."""
+    return [[index[at(q)] for q in perms] for at in map(tb._picker, perms)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_composition_table_matches_the_entry_by_entry_reference(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    comp = tb._composition_table(perms, index)
+    assert [list(row) for row in comp] == _composition_table_reference(perms, index)
+
+
 def test_uncapped_search_gives_the_published_order_6_counts():
     # Vojtechovsky and Yang, Enumeration of racks and quandles up to
     # isomorphism (Math. Comp. 2019)
