@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "tables": (
         "PRIMARY", "INVERSE", "Table", "AxiomReport", "RackParseError", "validate",
-        "inverse_table", "exponent", "mutually_distributive", "enumerate_racks",
-        "canonical_form", "relabel", "trivial", "constant_action", "dihedral",
-        "parse_rack", "format_rack",
+        "inverse_table", "exponent", "enumerate_racks", "canonical_form", "relabel",
+        "trivial", "constant_action", "dihedral", "parse_rack", "format_rack",
     ),
     "congruence": (
         "CongruenceClass", "NotACongruenceError", "Partition", "QuotientRack",
@@ -38,9 +37,10 @@ _EXPORTS = {
     ),
     "laurent": (
         "POLY_RING", "LAURENT_RING", "LaurentPoly", "PrincipalSubmodule", "eval_at_one",
-        "in_poly_ring", "alexander_op", "parity_shift_relation",
+        "in_poly_ring", "alexander_op", "parity_shift_relation", "parity_shift_half_witness",
         "in_common_difference_set", "in_difference_set", "submodule_relation",
-        "parse_laurent", "format_laurent", "random_laurent", "random_relation_partner",
+        "submodule_half_witness", "parse_laurent", "format_laurent", "random_laurent",
+        "random_relation_partner",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .tables import PRIMARY, Record, _draw, _quoted, side_sign
+from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -191,6 +191,22 @@ def parity_shift_relation(f: LaurentPoly, g: LaurentPoly) -> bool:
     return d == 0 or d == (-1 if ef % 2 else 1)
 
 
+def parity_shift_half_witness(side: str):
+    """Quadruple (a, b, c, d) with a ~ c and b ~ d whose products on the
+    side are not related by parity_shift_relation, or None on the
+    primary side, which the relation respects.
+
+    On the inverse side (0, 0, 0, 1) is one: 0 ~ 1, but 0 *' 1 = 1 - t^-1
+    is not related to 0 *' 0 = 0, since their difference leaves Z[t].
+    """
+    if side_sign(side) == 1:
+        return None
+    if not parity_shift_relation(ZERO, ONE) or parity_shift_relation(
+            ZERO, alexander_op(ZERO, ONE, INVERSE)):
+        raise AssertionError("(0, 0, 0, 1) is no witness for the parity-shift relation")
+    return (ZERO, ZERO, ZERO, ONE)
+
+
 def in_common_difference_set(p: LaurentPoly) -> bool:
     """Membership in the set of differences allowed at every element:
     polynomials in Z[t] with coefficient sum 0."""
@@ -238,14 +254,17 @@ class PrincipalSubmodule(Record):
     def contains(self, d: LaurentPoly) -> bool:
         if d.is_zero:
             return True
-        h0 = self.generator.shifted(-self.generator.min_exp)
+        # Divide by t^v for the generator's valuation v, skipped when v = 0.
+        h0 = self.generator
+        v = h0.terms[0][0]
+        if v:
+            h0 = h0.shifted(-v)
         if self.ring == LAURENT_RING:
             # Units +-t^k are absorbed by normalising both to valuation 0.
-            return _exact_divides(d.shifted(-d.min_exp), h0)
-        shifted = d.shifted(-self.generator.min_exp)
-        if shifted.min_exp < 0:
-            return False
-        return _exact_divides(shifted, h0)
+            v = d.terms[0][0]
+        if v:
+            d = d.shifted(-v)
+        return d.terms[0][0] >= 0 and _exact_divides(d, h0)
 
     def sample_member(self, rng) -> LaurentPoly:
         """Generator times a random ring element (coefficients in
@@ -256,10 +275,8 @@ class PrincipalSubmodule(Record):
 
 
 def _exact_divides(num: LaurentPoly, den: LaurentPoly) -> bool:
-    """Whether den divides num in Z[t] with an integer quotient; both
-    arguments have valuation 0, den nonzero; dense long division."""
-    if num.is_zero:
-        return True
+    """Whether den divides num in Z[t] with an integer quotient; num is
+    nonzero in Z[t], den has valuation 0; dense long division."""
     width = num.max_exp + 1
     rem = [0] * width
     for e, c in num.terms:
@@ -282,6 +299,25 @@ def submodule_relation(m: PrincipalSubmodule, f: LaurentPoly, g: LaurentPoly) ->
     """Coset relation of the submodule: f ~ g iff g - f is a multiple of
     the generator within the chosen ring."""
     return m.contains(g - f)
+
+
+def submodule_half_witness(m: PrincipalSubmodule, side: str):
+    """Quadruple (a, b, c, d) with a ~ c and b ~ d whose products on the
+    side are not related by the coset relation of m, or None when the
+    side holds.
+
+    A submodule is closed under t and 1 - t, so the primary side holds;
+    over Z[t, 1/t] it is closed under 1/t too, so the inverse side holds.
+    Over Z[t] the inverse side fails: t^-1 * g in Z[t] * g would make
+    t^-1 a polynomial.  So (0, 0, g, 0) is a witness: 0 ~ g and 0 ~ 0,
+    and the products 0 and t^-1 * g differ by t^-1 * g.
+    """
+    if side_sign(side) == 1 or m.ring == LAURENT_RING:
+        return None
+    g = m.generator
+    if not m.contains(g) or m.contains(alexander_op(g, ZERO, INVERSE)):
+        raise AssertionError(f"(0, 0, g, 0) is no witness for {m!r} on the inverse side")
+    return (ZERO, ZERO, g, ZERO)
 
 
 # ---------------------------------------------------------------------------

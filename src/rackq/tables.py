@@ -343,18 +343,6 @@ def _exponent(rows) -> int:
     return math.lcm(*map(perm_order, zip(*rows)))
 
 
-def mutually_distributive(r: Table) -> bool:
-    """Whether the primary and inverse operations distribute over each other.
-
-    Tests (x*y) *' z = (x *' z) * (y *' z) and (x *' y) * z =
-    (x * z) *' (y * z) over all triples with _homomorphic: each
-    x -> x *' z must be an endomorphism of *, and each S_z one of *'.
-    ValueError unless r is a rack.
-    """
-    t, u = _rack_tables(r)
-    return _homomorphic(t, t, tuple(zip(*u))) and _homomorphic(u, u, tuple(zip(*t)))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -202,3 +202,23 @@ def test_criterion_10_one_sided_inverse():
     assert failures == {x for x in range(-1000, 1001) if x % 2 != 0}
     print("ACCEPTANCE 10 PASS: doubling then halving is the identity on "
           "[-1000, 1000]; halving then doubling fails exactly on the odds")
+
+
+def test_criterion_11_affine_per_side_rule():
+    # A subgroup D with w*D inside D is a Z[w]-module, so a RightOnly coset
+    # relation exists iff 1/w is not in Z[w], and a LeftOnly one iff w is
+    # not in Z[1/w]: for w = p/q in lowest terms, iff |p| != 1 and q != 1.
+    import math
+
+    weights = 0
+    for p in range(-30, 31):
+        for q in range(1, 31):
+            if p == 0 or p == q or math.gcd(p, q) != 1:
+                continue
+            statuses = {ws.status for ws in wa.classify_weight(wa.Weight(Fraction(p, q))).witnesses}
+            assert (CC.RIGHT_ONLY in statuses) == (abs(p) != 1), (p, q)
+            assert (CC.LEFT_ONLY in statuses) == (q != 1), (p, q)
+            weights += 1
+    assert weights == 1109
+    print(f"ACCEPTANCE 11 PASS: on all {weights} weights p/q with |p|, q <= 30, "
+          f"a RightOnly witness iff |p| != 1 and a LeftOnly one iff q != 1")

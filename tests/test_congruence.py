@@ -280,17 +280,6 @@ def test_quotient_rejects_mismatched_orders_and_non_racks():
         cg.quotient(tb.Table(((0, 1), (1, 0))), cg.Partition((0, 1)))
 
 
-def test_quotient_of_full_congruence_validates():
-    for t in tb.enumerate_racks(3):
-        source = tb.validate(t)
-        for p, cls in cg.enumerate_congruences(t):
-            if cls is CC.BOTH:
-                report = tb.validate(cg.quotient(t, p).table)
-                assert report.is_rack
-                if source.is_quandle:
-                    assert report.is_quandle
-
-
 def test_no_half_congruences_on_small_racks():
     for n in (1, 2, 3):
         for t in tb.enumerate_racks(n):
@@ -353,12 +342,6 @@ def test_kernel_requires_homomorphism():
         cg.kernel_partition(cg.FiniteMap(3, 3, (0, 0, 1)), D3, D3)
 
 
-def test_kernel_always_classifies_both():
-    for s in tb.enumerate_racks(3, up_to_iso=True):
-        for f in cg.find_homomorphisms(D3, s):
-            assert cg.classify_relation(D3, cg.kernel_partition(f, D3, s)) is CC.BOTH
-
-
 def test_image_and_preimage_are_subracks():
     racks = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n, up_to_iso=True)]
     for r in racks:
@@ -384,16 +367,6 @@ def test_first_isomorphism_examples():
     assert cg.first_isomorphism_check(MOD2, D4, T2)
     assert cg.quotient(D4, cg.kernel_partition(MOD2, D4, T2)).table.order == 2
     assert cg.first_isomorphism_check(cg.FiniteMap(3, 1, (0, 0, 0)), D3, tb.trivial(1))
-
-
-def test_first_isomorphism_for_all_small_homomorphisms():
-    racks = [t for n in (1, 2) for t in tb.enumerate_racks(n)] + tb.enumerate_racks(
-        3, up_to_iso=True
-    )
-    for r in racks:
-        for s in racks:
-            for f in cg.find_homomorphisms(r, s):
-                assert cg.first_isomorphism_check(f, r, s)
 
 
 # ---------------------------------------------------------------------------

@@ -308,13 +308,81 @@ def test_poly_ring_submodules_fail_the_inverse_side():
 
 
 def test_relation_fails_the_inverse_side_at_small_scale():
-    # empirical finding, not a claimed theorem: 0 ~ 1 but their images
-    # under the inverse operation against 0 differ by 1/t, outside Z[t]
+    # one checked counterexample proves the relation no congruence of the
+    # inverse operation: 0 ~ 1 but their images under the inverse
+    # operation against 0 differ by 1/t, outside Z[t]
     assert la.parity_shift_relation(ZERO, ONE)
     left = la.alexander_op(ZERO, ZERO, INVERSE)
     right = la.alexander_op(ONE, ZERO, INVERSE)
     assert right - left == T_INV
     assert not la.parity_shift_relation(left, right)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form half witnesses against the bounded searches they replaced
+
+def _first_violation_reference(related, quads, side):
+    """The first quadruple on which alexander_op fails to respect related
+    on the side, or None."""
+    op = la.alexander_op
+    return next((q for q in quads
+                 if not related(op(q[0], q[1], side), op(q[2], q[3], side))), None)
+
+
+def _submodule_search(m, side):
+    # the quadruples (0, 0, k * g, 0), k = 1, 2, 3
+    quads = ((ZERO, ZERO, m.generator * LaurentPoly.constant(k), ZERO) for k in range(1, 4))
+    return _first_violation_reference(
+        lambda f, g: la.submodule_relation(m, f, g), quads, side)
+
+
+def _parity_shift_search(side):
+    # every related pair of pairs over six small polynomials
+    small = [ZERO, ONE, -ONE, T, T - ONE, (T - ONE) * T]
+    quads = ((f, g, f + d1, g + d2) for f, g, d1, d2 in itertools.product(small, repeat=4)
+             if la.in_difference_set(f, d1) and la.in_difference_set(g, d2))
+    return _first_violation_reference(la.parity_shift_relation, quads, side)
+
+
+def test_closed_form_witnesses_are_the_first_quadruples_the_searches_found():
+    for text in GENERATORS:
+        gen = la.parse_laurent(text)
+        for ring in (la.POLY_RING, la.LAURENT_RING):
+            m = la.PrincipalSubmodule(gen, ring)
+            for side in (PRIMARY, INVERSE):
+                found = _submodule_search(m, side)
+                assert la.submodule_half_witness(m, side) == found
+                assert (found is None) == (side == PRIMARY or ring == la.LAURENT_RING)
+    for side in (PRIMARY, INVERSE):
+        assert la.parity_shift_half_witness(side) == _parity_shift_search(side)
+    assert la.parity_shift_half_witness(INVERSE) == (ZERO, ZERO, ZERO, ONE)
+
+
+def test_submodule_half_witness_holds_for_every_generator_on_a_grid():
+    op, checked = la.alexander_op, 0
+    for coeffs in itertools.product(range(-2, 3), repeat=5):
+        gen = lp(dict(zip(range(-2, 3), coeffs)))
+        if gen.is_zero:
+            continue
+        poly = la.PrincipalSubmodule(gen, la.POLY_RING)
+        a, b, c, d = la.submodule_half_witness(poly, INVERSE)
+        assert (a, b, c, d) == (ZERO, ZERO, gen, ZERO)
+        assert la.submodule_relation(poly, a, c) and la.submodule_relation(poly, b, d)
+        assert not la.submodule_relation(poly, op(a, b, INVERSE), op(c, d, INVERSE))
+        assert la.submodule_half_witness(poly, PRIMARY) is None
+        laurent = la.PrincipalSubmodule(gen, la.LAURENT_RING)
+        for side in (PRIMARY, INVERSE):
+            assert la.submodule_half_witness(laurent, side) is None
+        checked += 1
+    assert checked == 5 ** 5 - 1
+
+
+def test_half_witnesses_reject_an_unknown_side():
+    m = la.PrincipalSubmodule(T - ONE, la.POLY_RING)
+    for call in (lambda: la.submodule_half_witness(m, "left"),
+                 lambda: la.parity_shift_half_witness("left")):
+        with pytest.raises(ValueError, match="side must be 'primary' or 'inverse'"):
+            call()
 
 
 def test_relation_partner_construction():
