@@ -528,19 +528,61 @@ def _mutually_distributive_reference(r):
     return True
 
 
-def test_mutual_distributivity_holds_on_every_small_rack():
-    # A theorem, so no library function: S_z is an automorphism of *, so
-    # S_z^-1 is one too, which is (x*y) *' z = (x *' z) * (y *' z); and an
-    # automorphism of * commutes with *', which is (x *' y) * z =
-    # (x * z) *' (y * z).
-    racks = [t for n in range(1, 5) for t in tb.enumerate_racks(n)]
-    racks += tb.enumerate_racks(5, up_to_iso=True)
+def _columns_are_automorphisms(r):
+    # The identities as the proof reads them: each S_z^-1 (a column of *')
+    # is an automorphism of *, and each S_z is an automorphism of *'.
+    t, u = r.rows, tb.inverse_table(r).rows
+    n = len(t)
+    for a, b in ((t, u), (u, t)):
+        for z in range(n):
+            s = [b[x][z] for x in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    if s[a[x][y]] != a[s[x]][s[y]]:
+                        return False
+    return True
+
+
+# Mutual distributivity is a theorem, so there is no library function:
+# S_z is an automorphism of *, so S_z^-1 is one too, which is
+# (x*y) *' z = (x *' z) * (y *' z); and an automorphism of * commutes
+# with *', which is (x *' y) * z = (x * z) *' (y * z).
+
+def test_mutual_distributivity_examples():
+    assert _mutually_distributive_reference(DIHEDRAL3)
+    assert _mutually_distributive_reference(tb.constant_action(THREE_CYCLE))
+
+
+def test_mutual_distributivity_all_small_racks():
+    for n in (1, 2, 3, 4):
+        for t in tb.enumerate_racks(n):
+            assert _mutually_distributive_reference(t), t
+    for t in tb.enumerate_racks(5, up_to_iso=True):
+        assert _mutually_distributive_reference(t), t
+
+
+def test_mutual_distributivity_matches_the_reference():
+    racks = []
     for n in range(1, 9):
         racks += [tb.dihedral(n), tb.trivial(n)]
         racks += [tb.constant_action(tuple((x + 1) % n for x in range(n))),
                   tb.constant_action(tuple(range(n - 1, -1, -1)))]
     for t in racks:
         assert _mutually_distributive_reference(t), t
+        assert _columns_are_automorphisms(t), t
+    # on tables with permutation columns, racks or not, the automorphism
+    # reading agrees with the triple loop, and both fail off racks here
+    seen_false = 0
+    for n in (2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for cols in itertools.product(perms, repeat=n):
+            t = tb.Table(tuple(zip(*cols)))
+            ref = _mutually_distributive_reference(t)
+            assert _columns_are_automorphisms(t) == ref, t
+            if not ref:
+                seen_false += 1
+                assert not tb.validate(t).is_rack, t
+    assert seen_false > 0
 
 
 # ---------------------------------------------------------------------------
