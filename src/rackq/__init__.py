@@ -3,7 +3,7 @@ tables, congruence classification and quotients, homomorphisms, and the
 exact infinite structures where an equivalence relation can respect one
 rack operation but not the other."""
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -49,12 +49,20 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME, *_EXPORTS]
 
 
+def _module(name):
+    # __import__ is the import statement's machinery, which python -X
+    # importtime reports; importlib.import_module goes around it
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _module(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_module(_HOME[name]), name)
     globals()[name] = value
     return value
 

@@ -13,9 +13,8 @@ import json
 import re
 import sys
 
-# Only what the table commands need is imported here; the weight and demo
-# commands import the modules of the infinite structures when they run.
-from . import congruence as cg
+# Only what every table command needs is imported here; the congruence,
+# weight and demo commands import their modules when they run.
 from . import tables as tb
 from .tables import PRIMARY, INVERSE
 
@@ -84,6 +83,8 @@ def cmd_enumerate(args):
 
 
 def cmd_congruences(args):
+    from . import congruence as cg
+
     t = _load_table(args.path)
     if args.partition is not None:
         p = cg.parse_partition(args.partition, t.order)
@@ -98,6 +99,8 @@ def cmd_congruences(args):
 
 
 def cmd_quotient(args):
+    from . import congruence as cg
+
     t = _load_table(args.path)
     p = cg.parse_partition(args.partition, t.order)
     q = cg.quotient(t, p)
@@ -120,18 +123,24 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def cmd_subrack(args):
+    from . import congruence as cg
+
     t = _load_table(args.path)
     subset = sorted(set(_int_list(args.subset, "--subset")))
     return _ok({"subset": subset, "is_subrack": cg.is_subrack(t, subset)}), 0
 
 
 def cmd_hom_check(args):
+    from . import congruence as cg
+
     r, s = _load_table(args.domain), _load_table(args.codomain)
     f = cg.FiniteMap(r.order, s.order, tuple(_int_list(args.map, "--map")))
     return _ok({"is_homomorphism": cg.is_homomorphism(f, r, s)}), 0
 
 
 def cmd_iso_check(args):
+    from . import congruence as cg
+
     r, s = _load_table(args.domain), _load_table(args.codomain)
     f = cg.FiniteMap(r.order, s.order, tuple(_int_list(args.map, "--map")))
     if not cg.is_homomorphism(f, r, s):

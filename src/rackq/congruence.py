@@ -12,28 +12,16 @@ exist exactly for full congruences.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
+# CongruenceClass and _CLASS_OF live in tables, so that weighted can use
+# them without this module
 from .tables import (
-    Record, Table, _homomorphic, _permutation_columns, _quoted, _rack_tables, excerpt,
-    inverse_table,
+    _CLASS_OF, CongruenceClass, Record, Table, _homomorphic, _permutation_columns, _quoted,
+    _rack_tables, excerpt, inverse_table,
 )
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
 MAX_CONGRUENCE_ORDER = 8
-
-
-class CongruenceClass(Enum):
-    """Which of the two rack operations a relation respects.
-
-    RIGHT_ONLY and LEFT_ONLY are the half congruences: the relation
-    respects only the primary (resp. only the inverse) operation.
-    """
-
-    BOTH = "Both"
-    RIGHT_ONLY = "RightOnly"
-    LEFT_ONLY = "LeftOnly"
-    NEITHER = "Neither"
 
 
 class NotACongruenceError(ValueError):
@@ -163,15 +151,6 @@ def _induced_cells(rows, blk, k):
             elif c != v:
                 return None, (x, y)
     return cells, None
-
-
-# The class of a relation, by whether it respects (primary, inverse).
-_CLASS_OF = {
-    (True, True): CongruenceClass.BOTH,
-    (True, False): CongruenceClass.RIGHT_ONLY,
-    (False, True): CongruenceClass.LEFT_ONLY,
-    (False, False): CongruenceClass.NEITHER,
-}
 
 
 def _classify(rows, inv_rows, p: Partition):

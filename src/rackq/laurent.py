@@ -266,13 +266,6 @@ class PrincipalSubmodule(Record):
             d = d.shifted(-v)
         return d.terms[0][0] >= 0 and _exact_divides(d, h0)
 
-    def sample_member(self, rng) -> LaurentPoly:
-        """Generator times a random ring element (coefficients in
-        [-3, 3]; exponents [0, 4] for Z[t], [-2, 2] for Laurent)."""
-        lo = 0 if self.ring == POLY_RING else -2
-        hi = 4 if self.ring == POLY_RING else 2
-        return self.generator * random_laurent(rng, lo, hi)
-
 
 def _exact_divides(num: LaurentPoly, den: LaurentPoly) -> bool:
     """Whether den divides num in Z[t] with an integer quotient; num is

@@ -20,8 +20,9 @@ import math
 import random
 from fractions import Fraction
 
-from .congruence import _CLASS_OF, CongruenceClass
-from .tables import PRIMARY, INVERSE, Record, _draw, _quoted, side_sign
+from .tables import (
+    _CLASS_OF, PRIMARY, INVERSE, CongruenceClass, Record, _draw, _quoted, side_sign,
+)
 
 
 class Weight(Record):

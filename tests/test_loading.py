@@ -57,12 +57,18 @@ NOT_LOADED = (
     "rackq.demos", "rackq.laurent", "rackq.shifts", "rackq.weighted", "fractions", "dataclasses",
 )
 
+# Every module of the package
+RACKQ_MODULES = (
+    "rackq", "rackq.cli", "rackq.tables", "rackq._search", "rackq.congruence", "rackq.demos",
+    "rackq.laurent", "rackq.shifts", "rackq.weighted",
+)
 
-def _loaded_after(code):
-    """Names among NOT_LOADED in sys.modules after running code in a
-    fresh interpreter with rackq on the path."""
+
+def _loaded_after(code, among=NOT_LOADED):
+    """Names among `among` in sys.modules after running code in a fresh
+    interpreter with rackq on the path."""
     probe = code + (
-        f"\nimport json, sys\nprint(json.dumps(sorted(set({NOT_LOADED!r}) & set(sys.modules))))"
+        f"\nimport json, sys\nprint(json.dumps(sorted(set({among!r}) & set(sys.modules))))"
     )
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -79,21 +85,75 @@ def d4_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "{path}"],
-    ["congruences", "{path}", "--partition", "0,2|1,3"],
-    ["quotient", "{path}", "--partition", "0,2|1,3"],
-    ["enumerate", "3"],
-])
-def test_table_commands_load_only_the_finite_modules(argv, d4_file):
-    argv = [a.format(path=d4_file) for a in argv]
+# Loaded by every command
+ALWAYS = ["rackq", "rackq.cli", "rackq.tables"]
+
+
+def _loaded_by_command(argv):
+    """The modules among NOT_LOADED and RACKQ_MODULES that the command
+    line loads for argv, in a fresh interpreter; the command must exit 0."""
     code = (
         "import contextlib, io\n"
         "import rackq.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
     )
-    assert _loaded_after(code) == []
+    return _loaded_after(code, NOT_LOADED + RACKQ_MODULES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{path}"],
+    ["congruences", "{path}", "--partition", "0,2|1,3"],
+    ["quotient", "{path}", "--partition", "0,2|1,3"],
+    ["enumerate", "3"],
+    ["inverse", "{path}"],
+    ["congruences", "{path}"],
+    ["subrack", "{path}", "--subset", "0,2"],
+    ["hom-check", "{path}", "{path}", "--map", "0,1,2,3"],
+    ["iso-check", "{path}", "{path}", "--map", "0,1,2,3"],
+    ["enumerate", "3", "--up-to-iso"],
+])
+def test_table_commands_load_only_the_finite_modules(argv, d4_file):
+    # validate and inverse load tables alone, only enumerate loads the
+    # search, and the other table commands add congruence
+    argv = [a.format(path=d4_file) for a in argv]
+    extra = {"validate": [], "inverse": [], "enumerate": ["rackq._search"]}.get(
+        argv[0], ["rackq.congruence"])
+    assert _loaded_by_command(argv) == sorted(ALWAYS + extra)
+
+
+def test_tables_loads_the_search_module_when_one_of_its_names_is_read():
+    assert _loaded_after("import rackq.tables", RACKQ_MODULES) == ["rackq", "rackq.tables"]
+    assert _loaded_after("import rackq\nrackq.dihedral(3)\nrackq.validate", RACKQ_MODULES) == [
+        "rackq", "rackq.tables",
+    ]
+    assert _loaded_after("import rackq.tables\nrackq.tables.canonical_form", RACKQ_MODULES) == [
+        "rackq", "rackq._search", "rackq.tables",
+    ]
+    assert _loaded_after("from rackq.tables import _rack_columns", RACKQ_MODULES) == [
+        "rackq", "rackq._search", "rackq.tables",
+    ]
+    # the weighted module takes the congruence classes from tables
+    assert _loaded_after("import rackq.weighted", RACKQ_MODULES) == [
+        "rackq", "rackq.tables", "rackq.weighted",
+    ]
+
+
+def test_tables_forwards_the_search_names_to_one_object_each():
+    from rackq import _search, congruence, tables
+
+    assert tables.canonical_form is _search.canonical_form
+    assert rackq.canonical_form is _search.canonical_form
+    assert rackq.enumerate_racks is tables.enumerate_racks is _search.enumerate_racks
+    for name in sorted(tables._SEARCH):
+        value = getattr(tables, name)
+        assert value is getattr(_search, name)
+        assert vars(tables)[name] is value
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        tables.not_a_name
+    assert congruence.CongruenceClass is tables.CongruenceClass
+    assert congruence._CLASS_OF is tables._CLASS_OF
+    assert rackq.CongruenceClass is tables.CongruenceClass
 
 
 def test_package_loads_a_module_when_one_of_its_names_is_read():
@@ -104,13 +164,9 @@ def test_package_loads_a_module_when_one_of_its_names_is_read():
 
 
 def test_weight_command_loads_the_weighted_module():
-    code = (
-        "import contextlib, io\n"
-        "import rackq.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['classify-tau', '2/3', '--samples', '0'])\n"
-    )
-    assert _loaded_after(code) == ["fractions", "rackq.weighted"]
+    # and not congruence, whose classes weighted takes from tables
+    loaded = _loaded_by_command(["classify-tau", "2/3", "--samples", "0"])
+    assert loaded == sorted(ALWAYS + ["fractions", "rackq.weighted"])
 
 
 @pytest.mark.parametrize("name, loaded", [
@@ -120,13 +176,8 @@ def test_weight_command_loads_the_weighted_module():
     ("alexander", ["rackq.demos", "rackq.laurent"]),
 ])
 def test_each_demo_loads_only_the_module_of_its_structure(name, loaded):
-    code = (
-        "import contextlib, io\n"
-        "import rackq.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['demo', {name!r}, '--samples', '2']) == 0\n"
-    )
-    assert _loaded_after(code) == loaded
+    # and no congruence or search code
+    assert _loaded_by_command(["demo", name, "--samples", "2"]) == sorted(ALWAYS + loaded)
 
 
 def test_star_import_binds_the_exported_names():

@@ -673,6 +673,17 @@ def test_lines_end_where_splitlines_ends_them(pieces):
     assert list(tb._lines(text)) == text.splitlines()
 
 
+@given(st.lists(st.sampled_from(LINE_BREAKS + ("\r\n\r", "\n\r", "", "0", " 1", "#", "xy"))),
+       st.integers(min_value=1, max_value=6))
+def test_lines_end_where_splitlines_ends_them_across_block_edges(pieces, block):
+    # blocks of a few characters put every kind of break, "\r\n" too, on
+    # a block edge, and send the stretches without "\n" to the regex
+    text = "".join(pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tb, "_BLOCK", block)
+        assert list(tb._lines(text)) == text.splitlines()
+
+
 def test_parse_rack_numbers_lines_across_every_line_break():
     for brk in LINE_BREAKS:
         text = brk.join(["# a", "", "2", "0 1", "1 x", "1 0"])
