@@ -186,8 +186,10 @@ def try_induced_table(m: Table, p: Partition):
     """Attempt [x] * [y] = [x*y] on blocks.
 
     Returns (table, None) when well defined, else (None, (a, b, c, d))
-    with a ~ c, b ~ d but a*b and c*d in different blocks.
+    with a ~ c, b ~ d but a*b and c*d in different blocks.  ValueError
+    unless p partitions the elements of m.
     """
+    _check_order(m, p)
     blk, k = p.block_of, p.num_blocks
     cells, conflict = _induced_cells(m.rows, blk, k)
     if conflict is not None:
@@ -239,8 +241,9 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
     share a prefix share the block cells the prefix decides.  When
     element i gets its block, the products completed at i set or check
     their cell of each operation's block table.  A conflict fails that
-    operation for the whole subtree, and a subtree failing both is
-    emitted as NEITHER without further checks.
+    operation for the whole subtree, whose cells of that operation are
+    no longer filled; a subtree failing both fills none and ends in
+    NEITHER leaves.
     """
     if r.order > MAX_CONGRUENCE_ORDER:
         raise ValueError(
@@ -275,11 +278,8 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
             l_ok = left and fill(left_products[i], left_cells, left_done)
             if i + 1 == n:
                 out.append((Partition._from_rgs(tuple(blk)), _CLASS_OF[r_ok, l_ok]))
-            elif r_ok or l_ok:
-                search(i + 1, max(top, v), r_ok, l_ok)
             else:
-                rest = _completions(blk, i + 1, max(top, v))
-                out.extend((p, CongruenceClass.NEITHER) for p in rest)
+                search(i + 1, max(top, v), r_ok, l_ok)
             for c in right_done:
                 right_cells[c] = -1
             for c in left_done:

@@ -386,14 +386,10 @@ def _relabel_rows(rows, p, q):
 
 
 # The canonical-form search and the rack enumeration live in
-# rackq._search.  Their names are read through this module, which imports
-# _search the first time one of them is read (PEP 562), so a command that
-# never searches never compiles it.
-_SEARCH = frozenset({
-    "_twin_classes", "_take_least_label", "_place_cell", "_same_orbit", "_canonical_rows",
-    "canonical_form", "enumerate_racks", "_enumerate_racks", "_composition_table",
-    "_rack_columns",
-})
+# rackq._search.  Their public names are read through this module, which
+# imports _search the first time one of them is read (PEP 562), so a
+# command that never searches never compiles it.
+_SEARCH = frozenset({"canonical_form", "enumerate_racks"})
 
 
 def __getattr__(name):
@@ -444,6 +440,9 @@ def halve_op(x: int, y: int) -> int:
 # this module.
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85]|\u2028|\u2029"
 
+# The characters a line can end with ("\r\n" ends with its "\n").
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 # The most characters _lines hands to one str.splitlines call.
 _BLOCK = 1024
 
@@ -452,23 +451,25 @@ def _lines(text: str):
     """The lines of text.splitlines(), one at a time, so that a reader
     holds no more than one line or one block beside the text.
 
-    A line always ends just after a "\n", so the text is cut into blocks
-    of at most _BLOCK characters that end there, and splitlines splits
-    each one in C.  Where the next _BLOCK characters hold no "\n", the
-    regex finds the breaks one at a time up to the next "\n"."""
+    The text is cut into blocks of at most _BLOCK characters, each
+    ending just after its last line break, and splitlines splits each
+    one in C.  A "\r" that ends a block is no cut, since it may begin a
+    "\r\n".  Where the next _BLOCK characters hold no other break, the
+    regex finds the next one."""
     pos, size = 0, len(text)
-    while pos < size:
-        stop = text.rfind("\n", pos, pos + _BLOCK) + 1
+    while size - pos > _BLOCK:
+        end = pos + _BLOCK
+        stop = max(text.rfind(c, pos, end - (c == "\r")) for c in _BREAKS) + 1
         if stop:
             yield from text[pos:stop].splitlines()
-        else:
-            stop = text.find("\n", pos) + 1 or size
-            for brk in re.compile(_LINE_BREAK).finditer(text, pos, stop):
-                yield text[pos:brk.start()]
-                pos = brk.end()
-            if pos < stop:
-                yield text[pos:stop]
-        pos = stop
+            pos = stop
+            continue
+        brk = re.compile(_LINE_BREAK).search(text, pos)
+        if brk is None:
+            break
+        yield text[pos:brk.start()]
+        pos = brk.end()
+    yield from text[pos:].splitlines()
 
 
 def parse_rack(text: str) -> Table:
@@ -523,7 +524,8 @@ def parse_rack(text: str) -> Table:
         raise RackParseError("empty input")
     if len(rows) != order:
         raise RackParseError(f"expected {order_text} rows, got {len(rows)}")
-    return Table(tuple(rows))
+    # every entry was checked above
+    return Table._from_rows(tuple(rows))
 
 
 def format_rack(m: Table) -> str:

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .tables import (
-    _CLASS_OF, PRIMARY, INVERSE, CongruenceClass, Record, _draw, _quoted, side_sign,
+    _CLASS_OF, PRIMARY, INVERSE, CongruenceClass, Record, _quoted, side_sign,
 )
 
 
@@ -159,16 +159,27 @@ class SubgroupDescriptor(Record):
         [1, 16] for the full group.  Fixed distributions keep the seeded
         suites reproducible: on a random.Random the draws are bit for
         bit those of rng.randrange over each range (k, then l)."""
-        return Fraction(*self._sample_pair(rng))
+        return Fraction(*self._sampler(rng.getrandbits)())
 
-    def _sample_pair(self, rng: random.Random) -> tuple[int, int]:
-        # sample() as an unreduced (numerator, positive denominator) pair
+    def _sampler(self, bits):
+        """sample() as a function of no arguments that draws an unreduced
+        (numerator, positive denominator) pair from bits = rng.getrandbits:
+        k from 8 bits below 201 and l from 3 bits below 5, as
+        rng.randrange would (tables._draw)."""
         if self.kind == "zero":
-            return 0, 1
+            return lambda: (0, 1)
         if self.kind == "all":
-            return _rational_pair(rng)
-        bits, g = rng.getrandbits, self.g
-        return g.numerator * _draw(bits, -100, 100), g.denominator * self.m ** _draw(bits, 0, 4)
+            return _rational_sampler(bits)
+        gn, dens = self.g.numerator, tuple(self.g.denominator * self.m ** l for l in range(5))
+
+        def draw():
+            while (k := bits(8)) > 200:
+                pass
+            while (l := bits(3)) > 4:
+                pass
+            return gn * (k - 100), dens[l]
+
+        return draw
 
     def describe(self) -> str:
         if self.kind != "scaled":
@@ -245,13 +256,23 @@ def parse_rational(text: str) -> Fraction:
 
 def random_rational(rng: random.Random) -> Fraction:
     """Numerator uniform in [-100, 100], denominator uniform in [1, 16]."""
-    return Fraction(*_rational_pair(rng))
+    return Fraction(*_rational_sampler(rng.getrandbits)())
 
 
-def _rational_pair(rng: random.Random) -> tuple[int, int]:
-    # random_rational as an unreduced (numerator, denominator) pair
-    bits = rng.getrandbits
-    return _draw(bits, -100, 100), _draw(bits, 1, 16)
+def _rational_sampler(bits):
+    """random_rational as a function of no arguments that draws an
+    unreduced (numerator, denominator) pair from bits = rng.getrandbits:
+    the numerator from 8 bits below 201 and the denominator from 5 bits
+    below 16, as rng.randrange would (tables._draw)."""
+
+    def draw():
+        while (num := bits(8)) > 200:
+            pass
+        while (den := bits(5)) > 15:
+            pass
+        return num - 100, den + 1
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -319,43 +340,16 @@ def sampled_congruence_check(
     t = _side_weight(w, side)
     tp, tq = t.numerator, t.denominator
     sp = tq - tp
-    # a and b are drawn as random_rational draws them and u and v as
-    # d.sample does, bit for bit as rng.randrange would (tables._draw):
-    # each numerator from 8 bits below 201, each denominator of a and b
-    # from 5 bits below 16, and that of u and v as an index into dens
-    # (the zero descriptor draws no u and v).
-    if d.kind == "zero":
-        gn, dens = 0, ()
-    elif d.kind == "all":
-        gn, dens = 1, tuple(range(1, 17))
-    else:
-        gn, dens = d.g.numerator, tuple(d.g.denominator * d.m ** l for l in range(5))
-    nd = len(dens)
-    kd = nd.bit_length()
-    contains = d._contains_pair
+    # a and b are drawn as random_rational draws them, and u and v as
+    # d.sample does
     bits = random.Random(seed).getrandbits
-    un = vn = 0
-    ud = vd = 1
+    rational, difference = _rational_sampler(bits), d._sampler(bits)
+    contains = d._contains_pair
     for _ in range(samples):
-        while (an := bits(8)) > 200:
-            pass
-        while (ad := bits(5)) > 15:
-            pass
-        while (bn := bits(8)) > 200:
-            pass
-        while (bd := bits(5)) > 15:
-            pass
-        an, ad, bn, bd = an - 100, ad + 1, bn - 100, bd + 1
-        if nd:
-            while (un := bits(8)) > 200:
-                pass
-            while (ud := bits(kd)) >= nd:
-                pass
-            while (vn := bits(8)) > 200:
-                pass
-            while (vd := bits(kd)) >= nd:
-                pass
-            un, ud, vn, vd = gn * (un - 100), dens[ud], gn * (vn - 100), dens[vd]
+        an, ad = rational()
+        bn, bd = rational()
+        un, ud = difference()
+        vn, vd = difference()
         cn, cd = an * ud + un * ad, ad * ud  # c = a + u
         en, ed = bn * vd + vn * bd, bd * vd  # e = b + v
         num_ab, den_ab = tp * an * bd + sp * bn * ad, tq * ad * bd

@@ -230,6 +230,17 @@ def test_induced_table_conflict_is_the_first_in_row_major_order():
     assert conflict is None and table == tb.trivial(2)
 
 
+@pytest.mark.parametrize("block_of", [(0, 1, 0, 1), (0, 0, 1, 1, 2), (0, 1)])
+def test_induced_table_rejects_a_partition_of_another_order(block_of):
+    # as classify_relation and quotient do, rather than a table of the
+    # wrong order, a conflict or an IndexError
+    p = cg.Partition(block_of)
+    message = f"partition order {len(block_of)} != rack order 3"
+    for check in (cg.try_induced_table, cg.classify_relation, cg.quotient):
+        with pytest.raises(ValueError, match=message):
+            check(D3, p)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -130,7 +130,7 @@ def test_tables_loads_the_search_module_when_one_of_its_names_is_read():
     assert _loaded_after("import rackq.tables\nrackq.tables.canonical_form", RACKQ_MODULES) == [
         "rackq", "rackq._search", "rackq.tables",
     ]
-    assert _loaded_after("from rackq.tables import _rack_columns", RACKQ_MODULES) == [
+    assert _loaded_after("from rackq.tables import enumerate_racks", RACKQ_MODULES) == [
         "rackq", "rackq._search", "rackq.tables",
     ]
     # the weighted module takes the congruence classes from tables
@@ -154,6 +154,17 @@ def test_tables_forwards_the_search_names_to_one_object_each():
     assert congruence.CongruenceClass is tables.CongruenceClass
     assert congruence._CLASS_OF is tables._CLASS_OF
     assert rackq.CongruenceClass is tables.CongruenceClass
+
+
+def test_tables_forwards_only_the_public_search_names():
+    from rackq import _search, tables
+
+    assert tables._SEARCH == {"canonical_form", "enumerate_racks"}
+    for name in ("_canonical_rows", "_enumerate_racks", "_composition_table", "_rack_columns",
+                 "_twin_classes", "_take_least_label", "_place_cell", "_same_orbit"):
+        assert callable(getattr(_search, name))
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(tables, name)
 
 
 def test_package_loads_a_module_when_one_of_its_names_is_read():

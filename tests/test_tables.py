@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from rackq import _search as se
 from rackq import congruence as cg
 from rackq import tables as tb
 
@@ -336,7 +337,7 @@ def _composition_table_reference(perms, index):
 def test_composition_table_matches_the_entry_by_entry_reference(n):
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    comp = tb._composition_table(perms, index)
+    comp = se._composition_table(perms, index)
     assert [list(row) for row in comp] == _composition_table_reference(perms, index)
 
 
@@ -344,9 +345,9 @@ def test_uncapped_search_gives_the_published_order_6_counts():
     # Vojtechovsky and Yang, Enumeration of racks and quandles up to
     # isomorphism (Math. Comp. 2019)
     start = time.perf_counter()
-    assert len(tb._enumerate_racks(6, False, False)) == 36538
-    assert len(tb._enumerate_racks(6, False, True)) == 353
-    assert len(tb._enumerate_racks(6, True, True)) == 73
+    assert len(se._enumerate_racks(6, False, False)) == 36538
+    assert len(se._enumerate_racks(6, False, True)) == 353
+    assert len(se._enumerate_racks(6, True, True)) == 73
     # about 5 s on a 2-vCPU VM; the search on permutation tuples took
     # 15 s for the labelled racks alone
     assert time.perf_counter() - start < 20
@@ -402,7 +403,7 @@ def _canonical_rows_reference(rows):
 
 def _check_canonical_rows(t):
     expected = _canonical_rows_reference(t.rows)
-    assert tb._canonical_rows(t.rows) == expected
+    assert se._canonical_rows(t.rows) == expected
     assert tb.canonical_form(t) == tb.Table(expected)
 
 
@@ -499,6 +500,9 @@ def _unchecked_tables():
         if cls is cg.CongruenceClass.BOTH:
             yield cg.quotient(r, p).table
     yield cg.try_induced_table(r, cg.Partition((0, 1, 2, 0, 1, 2)))[0]
+    for t in (r, tb.trivial(1), tb.constant_action((1, 2, 0, 4, 3))):
+        yield tb.parse_rack(tb.format_rack(t))
+    yield tb.parse_rack(RACK_TEXT)
 
 
 def test_tables_built_from_rows_equal_checked_tables():
@@ -681,6 +685,17 @@ def test_lines_end_where_splitlines_ends_them_across_block_edges(pieces, block):
     text = "".join(pieces)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tb, "_BLOCK", block)
+        assert list(tb._lines(text)) == text.splitlines()
+
+
+@pytest.mark.parametrize("brk", ["\r", "\u2028", "\r\n", "\x85"])
+def test_lines_split_text_without_a_newline_across_blocks(brk):
+    # lines ending in one kind of break only, over several blocks: with
+    # _BLOCK = 1,024, "# x\r" lines put a lone "\r" on every block edge,
+    # and the longest lines leave whole blocks without a break
+    for line in ("# x", "", "a" * 3 * tb._BLOCK):
+        text = (line + brk) * (4 * tb._BLOCK // len(line + brk) + 1) + line
+        assert len(text) > 3 * tb._BLOCK
         assert list(tb._lines(text)) == text.splitlines()
 
 

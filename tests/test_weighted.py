@@ -410,8 +410,8 @@ def test_pair_samplers_draw_the_reference_pairs():
         for d in REFERENCE_DESCRIPTORS:
             rng, ref = random.Random(seed), random.Random(seed)
             for _ in range(1000):
-                assert wa._rational_pair(rng) == reference_rational_pair(ref)
-                assert d._sample_pair(rng) == reference_sample_pair(d, ref)
+                assert wa._rational_sampler(rng.getrandbits)() == reference_rational_pair(ref)
+                assert d._sampler(rng.getrandbits)() == reference_sample_pair(d, ref)
             assert rng.getstate() == ref.getstate()
 
 
