@@ -44,14 +44,7 @@ def _load_table(path: str) -> tb.Table:
 
 def _axiom_payload(t: tb.Table) -> dict:
     report = tb.validate(t)
-    payload = {
-        "order": t.order,
-        "idempotent": report.idempotent,
-        "right_invertible": report.right_invertible,
-        "right_self_distributive": report.right_self_distributive,
-        "is_rack": report.is_rack,
-        "is_quandle": report.is_quandle,
-    }
+    payload = dict(zip(report.__slots__, report._key(report)), order=t.order)
     if report.is_rack:
         payload["exponent"] = tb._exponent(t.rows)
     return payload
@@ -185,6 +178,8 @@ def _parse_weight(text: str):
         value = wa.parse_rational(text)
     except ZeroDivisionError:
         raise ValueError(f"weight {tb._quoted(text)} has a zero denominator")
+    if wa._unprintable(value):
+        raise ValueError(f"weight {tb._quoted(text)} has a {wa._UNPRINTABLE}")
     return wa.Weight(value)
 
 

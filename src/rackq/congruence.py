@@ -204,10 +204,6 @@ class QuotientRack(Record):
 
     __slots__ = ("table", "blocks")
 
-    def __init__(self, table: Table, blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "blocks", blocks)
-
 
 def quotient(r: Table, p: Partition) -> QuotientRack:
     """Quotient rack by a full congruence; block index = growth-string label.
@@ -315,16 +311,15 @@ def no_half_congruences(r: Table) -> bool:
 # subracks and homomorphisms
 
 def is_subrack(r: Table, subset) -> bool:
-    """Closure of a nonempty subset under both rack operations."""
+    """Closure of a nonempty subset S under both rack operations.  * alone
+    decides: each S_y, y in S, maps the finite S one-to-one into S, so onto S."""
     sub = set(subset)
     if not sub:
         raise ValueError("subrack test requires a nonempty subset")
     if any(not 0 <= x < r.order for x in sub):
         raise ValueError("subset contains out-of-range indices")
-    inv = inverse_table(r)
-    return all(
-        r.rows[x][y] in sub and inv.rows[x][y] in sub for x in sub for y in sub
-    )
+    _permutation_columns(r.rows)
+    return all(r.rows[x][y] in sub for x in sub for y in sub)
 
 
 class FiniteMap(Record):

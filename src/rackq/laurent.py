@@ -244,12 +244,11 @@ class PrincipalSubmodule(Record):
     __slots__ = ("generator", "ring")
 
     def __init__(self, generator: LaurentPoly, ring: str = POLY_RING):
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "ring", ring)
         if generator.is_zero:
             raise ValueError("generator must be nonzero")
         if ring not in (POLY_RING, LAURENT_RING):
             raise ValueError(f"ring must be {POLY_RING!r} or {LAURENT_RING!r}")
+        super().__init__(generator, ring)
 
     def contains(self, d: LaurentPoly) -> bool:
         if d.is_zero:

@@ -179,27 +179,14 @@ def seq_quandle_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
 class Witnesses(Record):
     """Named sequences exhibiting the half congruences.
 
-    spike and step agree at all indices >= 0 but their right shifts do
-    not, and in the quandle, acting on each by ones (inverse side) is
-    exactly that right shift.  zeros and spike_left are the analogous
-    pair for the plain shift rack.
+    spike (1 at index 0 only) and step (1 exactly at indices <= 0) agree
+    at all indices >= 0 but their right shifts do not, and in the quandle,
+    acting on each by ones (constant 1; inverse side) is exactly that
+    right shift.  zeros (constant 0) and spike_left (1 at index -1 only)
+    are the analogous pair for the plain shift rack.
     """
 
     __slots__ = ("spike", "step", "ones", "zeros", "spike_left")
-
-    def __init__(
-        self,
-        spike: BiSeq,       # 1 at index 0 only
-        step: BiSeq,        # 1 exactly at indices <= 0
-        ones: BiSeq,        # constant 1
-        zeros: BiSeq,       # constant 0
-        spike_left: BiSeq,  # 1 at index -1 only
-    ):
-        object.__setattr__(self, "spike", spike)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "spike_left", spike_left)
 
 
 _WITNESSES = Witnesses(
@@ -236,8 +223,7 @@ class NormalForm(Record):
             raise ValueError("generator must be 'a', 'b' or 'c'")
         if gen == "c" and power != 0:
             raise ValueError("c carries no power")
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "power", power)
+        super().__init__(gen, power)
 
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:

@@ -84,10 +84,10 @@ class RackParseError(ValueError):
 class Record:
     """Immutable value record: the fields are the subclass's ``__slots__``.
 
-    A subclass declares its fields in ``__slots__`` and sets each one in
-    its ``__init__`` with ``object.__setattr__``.  Records compare equal
-    only to records of the same class with equal fields, hash as the
-    tuple of their fields, and print as ``Name(field=value, ...)``.
+    The constructor takes the fields by position, then by name, as a
+    dataclass's does.  Records compare equal only to records of the same
+    class with equal fields, hash as the tuple of their fields, and print
+    as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -97,6 +97,20 @@ class Record:
         get = attrgetter(*cls.__slots__)
         # attrgetter of one name returns the value, not a 1-tuple
         cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        # a field is set through its slot, past the frozen __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            names, rest = self.__slots__, self.__slots__[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__}({', '.join(names)}) takes each field "
+                    f"once, got {len(args)} by position and {[*kwargs]} by name"
+                )
+            args += tuple(kwargs[name] for name in rest)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other is self:
@@ -119,8 +133,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, which the frozen
-        # __setattr__ leaves as the only way to set a field
+        # copy and pickle rebuild through the constructor
         return self.__class__, self._key(self)
 
 
@@ -176,21 +189,10 @@ class AxiomReport(Record):
         "idempotent", "right_invertible", "right_self_distributive", "is_rack", "is_quandle",
     )
 
-    def __init__(
-        self,
-        idempotent: bool,
-        right_invertible: bool,
-        right_self_distributive: bool,
-        is_rack: bool,
-        is_quandle: bool,
-    ):
-        assert is_rack == (right_invertible and right_self_distributive)
-        assert is_quandle == (is_rack and idempotent)
-        object.__setattr__(self, "idempotent", idempotent)
-        object.__setattr__(self, "right_invertible", right_invertible)
-        object.__setattr__(self, "right_self_distributive", right_self_distributive)
-        object.__setattr__(self, "is_rack", is_rack)
-        object.__setattr__(self, "is_quandle", is_quandle)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        assert self.is_rack == (self.right_invertible and self.right_self_distributive)
+        assert self.is_quandle == (self.is_rack and self.idempotent)
 
 
 class CongruenceClass(Enum):

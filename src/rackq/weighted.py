@@ -208,6 +208,8 @@ def parse_descriptor(text: str) -> SubgroupDescriptor:
         raise _malformed(text, "g has a zero denominator") from None
     except ValueError:
         raise _malformed(text, "g is not a rational literal") from None
+    if _unprintable(g):
+        raise _malformed(text, f"g has a {_UNPRINTABLE}")
     try:
         m = int(tail)
     except ValueError:
@@ -229,6 +231,12 @@ _OVERSIZED = (
     f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
     f"or an exponent beyond {MAX_LITERAL_DIGITS}"
 )
+# 1e4300 keeps to both bounds, yet its 4,301 digits could not be printed
+_UNPRINTABLE = f"numerator or denominator of more than {MAX_LITERAL_DIGITS} digits"
+
+
+def _unprintable(value: Fraction) -> bool:
+    return max(abs(value.numerator), value.denominator) >= 10**MAX_LITERAL_DIGITS
 
 
 def _oversized_literal(text: str) -> bool:
@@ -380,28 +388,12 @@ class WitnessStatus(Record):
 
     __slots__ = ("role", "descriptor", "status", "half_witnesses")
 
-    def __init__(
-        self,
-        role: str,
-        descriptor: SubgroupDescriptor,
-        status: CongruenceClass,
-        half_witnesses: dict | None = None,
-    ):
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "status", status)
-        if half_witnesses is None:
-            half_witnesses = {}
-        object.__setattr__(self, "half_witnesses", half_witnesses)
+    def __init__(self, role, descriptor, status, half_witnesses=None):
+        super().__init__(role, descriptor, status, {} if half_witnesses is None else half_witnesses)
 
 
 class WeightClassification(Record):
     __slots__ = ("case", "explanation", "witnesses")
-
-    def __init__(self, case: int, explanation: str, witnesses: tuple[WitnessStatus, ...]):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "explanation", explanation)
-        object.__setattr__(self, "witnesses", witnesses)
 
 
 def classify_weight(w: Weight) -> WeightClassification:

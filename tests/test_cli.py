@@ -677,3 +677,23 @@ def test_malformed_subgroup_answer_names_the_bound_and_stays_short(capsys):
     out = capsys.readouterr().out
     assert len(out) < 300
     assert json.loads(out)["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-tau", "1e-4300", "--subgroup", "all", "--samples", "100000"],
+    ["classify-tau", "1e4300", "--subgroup", "1:3", "--samples", "100000"],
+    ["classify-tau", "2/3", "--subgroup", "1e4300:1"],
+])
+def test_unprintable_weight_or_scale_is_rejected_when_parsed(argv):
+    code, out, seconds = _answer(argv)
+    assert code == 2 and seconds < 2.0 and len(out) < 300
+    doc = json.loads(out)
+    assert doc["status"] == "error" and doc["payload"] == {}
+    assert "more than 4300 digits" in doc["diagnostics"][0]
+    assert "set_int_max_str_digits" not in out
+
+
+def test_weight_of_4300_digits_still_answers(capsys):
+    code, doc = run(capsys, "classify-tau", "1e4299", "--subgroup", "1:3", "--samples", "10")
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["tau"] == "1" + "0" * 4299

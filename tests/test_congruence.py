@@ -313,6 +313,37 @@ def test_subrack_errors():
         cg.is_subrack(D3, {0, 7})
 
 
+def _is_subrack_reference(r, subset):
+    """is_subrack before it decided by * alone: closure under * and *'."""
+    sub = set(subset)
+    inv = tb.inverse_table(r)
+    return all(r.rows[x][y] in sub and inv.rows[x][y] in sub for x in sub for y in sub)
+
+
+def _nonempty_subsets(n):
+    return (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
+
+
+def test_subrack_by_star_alone_agrees_with_both_operations():
+    # every labelled rack of order <= 5, and every table of order <= 3
+    # whose columns are permutations, rack or not
+    tables = [r for n in range(1, 6) for r in tb.enumerate_racks(n)]
+    for n in (1, 2, 3):
+        perms = list(itertools.permutations(range(n)))
+        tables += [tb.Table(tuple(zip(*cols))) for cols in itertools.product(perms, repeat=n)]
+    pairs = 0
+    for r in tables:
+        for subset in _nonempty_subsets(r.order):
+            assert cg.is_subrack(r, subset) == _is_subrack_reference(r, subset), (r, subset)
+            pairs += 1
+    assert pairs == 56_281
+
+
+def test_subrack_needs_a_right_invertible_table():
+    with pytest.raises(ValueError, match="not right invertible"):
+        cg.is_subrack(tb.Table(((0, 0), (0, 0))), {0})
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 

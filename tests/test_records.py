@@ -199,3 +199,30 @@ def test_construction_still_validates():
         wa.Weight(0)
     with pytest.raises(ValueError):
         wa.SubgroupDescriptor("scaled", F(-1))
+
+
+@pytest.mark.parametrize("build, fields, repr_", [
+    CASES[IDS.index("QuotientRack")], CASES[IDS.index("Witnesses")],
+], ids=["QuotientRack", "Witnesses"])
+def test_generic_constructor_names_the_fields_of_a_bad_call(build, fields, repr_):
+    cls, values = type(build()), list(fields.values())
+    first = next(iter(fields))
+    names = f"{cls.__name__}({', '.join(fields)})"
+    calls = [
+        (values + [None], {}),           # one positional argument too many
+        (values, {"extra": None}),       # an unknown keyword
+        (values, {first: values[0]}),    # a field by position and by name
+        (values[:-1], {}),               # a missing field
+    ]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value).startswith(names)
+    assert cls(*values[:1], **dict(list(fields.items())[1:])) == build()
+
+
+@pytest.mark.parametrize("flags", [(True, True, True, False, False),
+                                   (False, True, True, True, True)])
+def test_axiom_report_asserts_its_flags_agree(flags):
+    with pytest.raises(AssertionError):
+        tb.AxiomReport(*flags)
