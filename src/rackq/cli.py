@@ -163,6 +163,19 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {shown}{more}")
 
 
+# classify-tau draws at most this many --samples times digits (of the longest
+# numerator or denominator of the weight and scale g): a sample's time grows
+# with them, and 100,000 samples of a 4,300-digit weight took 32 s.
+MAX_SAMPLED_DIGITS = 20 * MAX_SAMPLES
+
+
+def _check_sampled_digits(samples: int, *values) -> None:
+    digits = max(len(str(abs(n))) for v in values for n in (v.numerator, v.denominator))
+    if samples * digits > MAX_SAMPLED_DIGITS:
+        raise ValueError(f"--samples times the digits of the weight and subgroup scale "
+                         f"must be at most {MAX_SAMPLED_DIGITS}, got {samples} x {digits}")
+
+
 def _int_arg(text: str) -> int:
     """argparse type for the integer arguments: int, with a short echo."""
     try:
@@ -196,6 +209,7 @@ def _coset_json(w, desc, status, halves, args, failures, suffix=""):
         checks = out["sampled_checks"] = {}
         for side in (PRIMARY, INVERSE):
             if side not in halves:
+                _check_sampled_digits(args.samples, w.value, desc.g)
                 checks[side] = wa.sampled_congruence_check(desc, w, side, args.samples, args.seed)
                 if not checks[side]:
                     failures.append(f"sampled {side} check failed{suffix}")

@@ -7,6 +7,9 @@ operation * when a ~ c and b ~ d imply a*b ~ c*d; it is a full rack
 congruence when it respects both the primary and the inverse operation,
 and a half congruence when it respects exactly one of them.  Quotients
 exist exactly for full congruences.
+
+On a finite rack a partition respects * exactly when it respects *' (see
+the README), so * alone decides every classification here.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 # them without this module
 from .tables import (
     _CLASS_OF, CongruenceClass, Record, Table, _homomorphic, _permutation_columns, _quoted,
-    _rack_tables, excerpt, inverse_table,
+    _rack_rows, excerpt,
 )
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
@@ -153,17 +156,8 @@ def _induced_cells(rows, blk, k):
     return cells, None
 
 
-def _classify(rows, inv_rows, p: Partition):
-    """(class, cells): the classification of p, with the primary block
-    cells when p respects the primary operation (else None)."""
-    blk, k = p.block_of, p.num_blocks
-    cells = _induced_cells(rows, blk, k)[0]
-    left = _induced_cells(inv_rows, blk, k)[1] is None
-    return _CLASS_OF[cells is not None, left], cells
-
-
-def _cells_table(cells, k: int) -> Table:
-    return Table._from_rows(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k)))
+# The class of a relation on a finite rack, by whether it respects *
+_BY_PRIMARY = (_CLASS_OF[False, False], _CLASS_OF[True, True])
 
 
 def classify_relation(r: Table, p: Partition) -> CongruenceClass:
@@ -171,15 +165,11 @@ def classify_relation(r: Table, p: Partition) -> CongruenceClass:
 
     A partition respects an operation exactly when the block operation
     [x] * [y] := [x*y] is well defined, which one pass over the n^2
-    products decides.
+    products of * decides for both operations.
     """
-    _check_order(r, p)
-    return _classify(*_rack_tables(r), p)[0]
-
-
-def _check_order(r: Table, p: Partition) -> None:
-    if p.order != r.order:
-        raise ValueError(f"partition order {p.order} != rack order {r.order}")
+    conflict = try_induced_table(r, p)[1]
+    _rack_rows(r)
+    return _BY_PRIMARY[conflict is None]
 
 
 def try_induced_table(m: Table, p: Partition):
@@ -189,14 +179,15 @@ def try_induced_table(m: Table, p: Partition):
     with a ~ c, b ~ d but a*b and c*d in different blocks.  ValueError
     unless p partitions the elements of m.
     """
-    _check_order(m, p)
+    if p.order != m.order:
+        raise ValueError(f"partition order {p.order} != rack order {m.order}")
     blk, k = p.block_of, p.num_blocks
     cells, conflict = _induced_cells(m.rows, blk, k)
     if conflict is not None:
         c, d = conflict
         # the cell was first set by the least member of each block
         return None, (blk.index(blk[c]), blk.index(blk[d]), c, d)
-    return _cells_table(cells, k), None
+    return Table._from_rows(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k))), None
 
 
 class QuotientRack(Record):
@@ -208,14 +199,15 @@ class QuotientRack(Record):
 def quotient(r: Table, p: Partition) -> QuotientRack:
     """Quotient rack by a full congruence; block index = growth-string label.
 
-    Raises NotACongruenceError carrying the classification when p respects
-    at most one operation.
+    Raises NotACongruenceError carrying the classification, Neither, when
+    p respects neither operation (the one pass over the products of * that
+    decides it also fills the quotient's cells).
     """
-    _check_order(r, p)
-    cls, cells = _classify(*_rack_tables(r), p)
-    if cls is not CongruenceClass.BOTH:
-        raise NotACongruenceError(cls)
-    return QuotientRack(_cells_table(cells, p.num_blocks), p.blocks())
+    table = try_induced_table(r, p)[0]
+    _rack_rows(r)
+    if table is None:
+        raise NotACongruenceError(_BY_PRIMARY[False])
+    return QuotientRack(table, p.blocks())
 
 
 def _products_by_last(rows):
@@ -235,55 +227,51 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
 
     A depth-first search over restricted growth strings: partitions that
     share a prefix share the block cells the prefix decides.  When
-    element i gets its block, the products completed at i set or check
-    their cell of each operation's block table.  A conflict fails that
-    operation for the whole subtree, whose cells of that operation are
-    no longer filled; a subtree failing both fills none and ends in
-    NEITHER leaves.
+    element i gets its block, the products of * completed at i set or
+    check their cell of the one block table.  A conflict makes the whole
+    subtree Neither, and fills no more cells there; every other leaf is
+    Both, since respecting * decides *' on a finite rack.
     """
     if r.order > MAX_CONGRUENCE_ORDER:
         raise ValueError(
             f"order {r.order} > {MAX_CONGRUENCE_ORDER}: partition count is Bell-number growth"
         )
-    rows, inv_rows = _rack_tables(r)
+    rows = _rack_rows(r)
     n = len(rows)
-    right_products, left_products = _products_by_last(rows), _products_by_last(inv_rows)
-    right_cells, left_cells = [-1] * (n * n), [-1] * (n * n)
+    products = _products_by_last(rows)
+    cells = [-1] * (n * n)
     blk = [0] * n
     out: list[tuple[Partition, CongruenceClass]] = []
+    # each leaf is built as Partition._from_rgs builds it, without the call
+    new, set_block_of = object.__new__, Partition._setters[0]
 
-    def fill(products, cells, done) -> bool:
-        # Set or check the cells of the products completed at the newest
-        # element; the cells set are appended to done.  False on a conflict.
-        for x, y, xy in products:
-            c = blk[x] * n + blk[y]
-            v = blk[xy]
-            old = cells[c]
-            if old < 0:
-                cells[c] = v
-                done.append(c)
-            elif old != v:
-                return False
-        return True
-
-    def search(i: int, top: int, right: bool, left: bool) -> None:
+    def search(i: int, top: int, ok: bool) -> None:
+        completed, last = products[i], i + 1 == n
         for v in range(top + 2):
             blk[i] = v
-            right_done, left_done = [], []
-            r_ok = right and fill(right_products[i], right_cells, right_done)
-            l_ok = left and fill(left_products[i], left_cells, left_done)
-            if i + 1 == n:
-                out.append((Partition._from_rgs(tuple(blk)), _CLASS_OF[r_ok, l_ok]))
+            holds, done = ok, []
+            if ok:
+                for x, y, xy in completed:
+                    c = blk[x] * n + blk[y]
+                    old = cells[c]
+                    if old < 0:
+                        cells[c] = blk[xy]
+                        done.append(c)
+                    elif old != blk[xy]:
+                        holds = False
+                        break
+            if last:
+                leaf = new(Partition)
+                set_block_of(leaf, tuple(blk))
+                out.append((leaf, _BY_PRIMARY[holds]))
             else:
-                search(i + 1, max(top, v), r_ok, l_ok)
-            for c in right_done:
-                right_cells[c] = -1
-            for c in left_done:
-                left_cells[c] = -1
+                search(i + 1, max(top, v), holds)
+            for c in done:
+                cells[c] = -1
 
-    search(0, -1, True, True)
+    search(0, -1, True)
     # search refers to itself through its closure cell, a cycle that would
-    # keep the cell tables and the result list allocated until the next
+    # keep the cell table and the result list allocated until the next
     # cyclic collection; deleting the name clears the cell and frees them.
     del search
     return out
@@ -298,13 +286,10 @@ def congruences_report(r: Table) -> list[dict]:
 
 
 def no_half_congruences(r: Table) -> bool:
-    """True iff no partition of r is a half congruence (the finite-rack
-    guarantee: on a finite rack, respecting the primary operation already
-    forces respecting the inverse one)."""
-    return all(
-        cls in (CongruenceClass.BOTH, CongruenceClass.NEITHER)
-        for _, cls in enumerate_congruences(r)
-    )
+    """True iff no partition of r is a half congruence, which holds on every
+    finite rack (see the module docstring); ValueError unless r is a rack."""
+    _rack_rows(r)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -318,29 +318,26 @@ def validate(m: Table) -> AxiomReport:
     return AxiomReport(idem, rinv, rsd, rack, rack and idem)
 
 
-# The (rows, inverse rows) of the last table _rack_tables passed.  It
-# holds the rows object itself, so no other object can take its identity
-# while it is recorded, and it is replaced as one tuple.
-_last_rack = (None, None)
+# The rows of the last table _rack_rows passed.  It holds the rows
+# object itself, so no other object can take its identity while it is
+# recorded.
+_last_rack = None
 
 
-def _rack_tables(r: Table):
-    """Rows of r and of its inverse operation; ValueError unless r is a rack.
+def _rack_rows(r: Table):
+    """The rows of r; ValueError unless r is a rack.
 
-    The columns are built once, for both the rack test and the inverse.
     The last rack is remembered by the identity of its rows, so calls
     back to back on one table (every quotient of a census) check it once.
     """
     global _last_rack
     rows = r.rows
-    last = _last_rack
-    if last[0] is rows:
-        return last
-    cols, bad = _columns(rows)
-    if bad is not None or not _homomorphic(rows, rows, cols):
-        raise ValueError("not a rack")
-    _last_rack = last = (rows, _inverse_rows(cols))
-    return last
+    if rows is not _last_rack:
+        cols, bad = _columns(rows)
+        if bad is not None or not _homomorphic(rows, rows, cols):
+            raise ValueError("not a rack")
+        _last_rack = rows
+    return rows
 
 
 def inverse_table(m: Table) -> Table:
@@ -358,8 +355,7 @@ def exponent(r: Table) -> int:
     Finite for any finite rack (each symmetry lies in the symmetric group,
     so k <= n! always works).
     """
-    _rack_tables(r)
-    return _exponent(r.rows)
+    return _exponent(_rack_rows(r))
 
 
 def _exponent(rows) -> int:

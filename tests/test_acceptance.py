@@ -18,6 +18,8 @@ from rackq import weighted as wa
 from rackq.congruence import CongruenceClass as CC
 from rackq.tables import PRIMARY, INVERSE
 
+import two_sided
+
 SAMPLES = 10_000
 SEED = 0
 
@@ -29,9 +31,11 @@ def _racks_up_to(max_order):
 
 
 def test_criterion_1_no_half_congruences_on_small_racks():
+    # the two-sided search, which checks each partition on both
+    # operations; rackq's own search decides by * alone on this theorem
     checked = 0
     for rack in _racks_up_to(5):
-        for _, cls in cg.enumerate_congruences(rack):
+        for _, cls in two_sided.search(rack):
             assert cls in (CC.BOTH, CC.NEITHER)
             checked += 1
     print(f"ACCEPTANCE 1 PASS: no half congruence on any rack of order <= 5 "

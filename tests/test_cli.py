@@ -451,24 +451,59 @@ def test_oversized_weight_names_the_weight_bound(capsys):
     assert "denominator base" not in message
 
 
-def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
-    from rackq import congruence as cg
+def test_sampled_work_is_bounded_by_digits_times_samples(capsys):
+    # 100,000 samples of a 4,300-digit weight took 32 s; the product of
+    # --samples and the digits is bounded, inclusively, and a larger one
+    # is refused before any sample is drawn
+    bound = cli.MAX_SAMPLED_DIGITS
+    largest = bound // 4300
+    for weight, subgroup in (("1e-4299", "all"), ("3", "1e-4299:1"), ("1e-4299", "1:6")):
+        start = time.perf_counter()
+        code, doc = run(capsys, "classify-tau", weight, "--subgroup", subgroup,
+                        "--samples", str(cli.MAX_SAMPLES))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and doc["diagnostics"] == [
+            f"--samples times the digits of the weight and subgroup scale must be at most "
+            f"{bound}, got {cli.MAX_SAMPLES} x 4300"
+        ]
+        assert run(capsys, "classify-tau", weight, "--subgroup", subgroup,
+                   "--samples", str(largest + 1))[0] == 2
+    start = time.perf_counter()
+    code, doc = run(capsys, "classify-tau", "1e-4299", "--subgroup", "all",
+                    "--samples", str(largest))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and doc["payload"]["sampled_checks"] == {"inverse": True, "primary": True}
+    # a 20-digit weight gets every sample, a 21-digit one does not; a side
+    # with a half witness draws no sample, so it is not bounded
+    assert bound == 20 * cli.MAX_SAMPLES
+    samples = str(cli.MAX_SAMPLES)
+    for digits, subgroup, code in ((20, "all", 0), (21, "all", 2), (21, "1:3", 0)):
+        weight = "9" * digits + "/7"
+        assert run(capsys, "classify-tau", weight, "--subgroup", subgroup, "--samples", samples)[0] == code
 
+
+def _count_calls(monkeypatch, *targets):
+    """{name: 0} for each (module, name), counting the calls made to each
+    function from then on."""
     calls = {}
-
-    def count(module, name):
+    for module, name in targets:
         inner = getattr(module, name)
         calls[name] = 0
 
-        def counted(*args):
+        def counted(*args, inner=inner, name=name):
             calls[name] += 1
             return inner(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
 
-    count(cg, "is_homomorphism")
-    count(cg, "inverse_table")
-    count(tb, "_homomorphic")
+
+def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
+    from rackq import congruence as cg
+
+    calls = _count_calls(
+        monkeypatch, (cg, "is_homomorphism"), (tb, "_inverse_rows"), (tb, "_homomorphic")
+    )
     d6, d3 = rack_file("d6.rack", tb.dihedral(6)), rack_file("d3.rack", tb.dihedral(3))
     code = cli.main(["iso-check", d6, d3, "--map", "0,1,2,0,1,2"])
     assert code == 0
@@ -479,7 +514,25 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
     )
     # one map check, which builds no inverse table, and one rack check of
     # the domain
-    assert calls == {"is_homomorphism": 1, "inverse_table": 0, "_homomorphic": 1}
+    assert calls == {"is_homomorphism": 1, "_inverse_rows": 0, "_homomorphic": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruences", "{d6}"],
+    ["congruences", "{d6}", "--partition", "0,3|1,4|2,5"],
+    ["congruences", "{d6}", "--partition", "0,1|2,3|4,5"],
+    ["quotient", "{d6}", "--partition", "0,2,4|1,3,5"],
+    ["quotient", "{d6}", "--partition", "0,1|2,3|4,5"],
+])
+def test_congruence_commands_build_no_inverse_table(argv, rack_file, capsys, monkeypatch):
+    # * alone classifies a partition of a finite rack, so the inverse
+    # operation is never tabulated
+    calls = _count_calls(monkeypatch, (tb, "_inverse_rows"))
+    d6 = rack_file("d6.rack", tb.dihedral(6))
+    code = cli.main([arg.format(d6=d6) for arg in argv])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code == 0) == (doc["status"] == "ok")
+    assert calls == {"_inverse_rows": 0}
 
 
 @pytest.mark.parametrize("command, option", [

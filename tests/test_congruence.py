@@ -7,6 +7,8 @@ from rackq import congruence as cg
 from rackq import tables as tb
 from rackq.congruence import CongruenceClass as CC
 
+import two_sided
+
 
 D3 = tb.dihedral(3)
 D4 = tb.dihedral(4)
@@ -172,8 +174,8 @@ def test_classification_matches_quadruple_sweep():
 def _classify_each(t):
     # the reference: every partition classified on its own by one pass
     # over the products of each operation
-    rows, inv_rows = tb._rack_tables(t)
-    return [(p, cg._classify(rows, inv_rows, p)[0]) for p in cg.partitions(t.order)]
+    rows, inv_rows = two_sided.rack_tables(t)
+    return [(p, two_sided.classify(rows, inv_rows, p)[0]) for p in cg.partitions(t.order)]
 
 
 def _cycles(*lengths):
@@ -197,18 +199,63 @@ FAMILIES = [
 ]
 
 
+def _check_against_both_operations(t):
+    # the search by * alone equals the two-sided search and the two-sided
+    # classification of each partition, so the finite theorem it rests on
+    # is checked on t
+    expected = _classify_each(t)
+    assert two_sided.search(t) == expected
+    assert cg.enumerate_congruences(t) == expected
+    for p, cls in expected[::7]:
+        assert cg.classify_relation(t, p) is cls
+
+
 def test_search_matches_classifying_each_partition():
     racks = [t for n in (1, 2, 3, 4, 5) for t in tb.enumerate_racks(n)]
+    assert len(racks) == 1838
     for t in racks + FAMILIES:
-        assert cg.enumerate_congruences(t) == _classify_each(t)
+        _check_against_both_operations(t)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_search_matches_classifying_each_partition_after_relabelling(data):
     t = data.draw(st.sampled_from(FAMILIES + tb.enumerate_racks(5, up_to_iso=True)))
-    copy = tb.relabel(t, tuple(data.draw(st.permutations(range(t.order)))))
-    assert cg.enumerate_congruences(copy) == _classify_each(copy)
+    _check_against_both_operations(tb.relabel(t, tuple(data.draw(st.permutations(range(t.order))))))
+
+
+def _right_invertible_tables(n):
+    perms = list(itertools.permutations(range(n)))
+    return [tb.Table(tuple(zip(*cols))) for cols in itertools.product(perms, repeat=n)]
+
+
+def _star_decides_star_inverse(t, p):
+    # the finite theorem needs only permutation columns of finite order,
+    # not distributivity: p respects * iff it respects *'
+    rows = t.rows
+    inv_rows = tb._inverse_rows(tb._permutation_columns(rows))
+    blk, k = p.block_of, p.num_blocks
+    respects = cg._induced_cells(rows, blk, k)[1] is None
+    return respects == (cg._induced_cells(inv_rows, blk, k)[1] is None)
+
+
+def test_star_alone_decides_on_every_right_invertible_table_of_order_at_most_3():
+    pairs = non_racks = 0
+    for n in (1, 2, 3):
+        for t in _right_invertible_tables(n):
+            non_racks += not tb.validate(t).is_rack
+            for p in cg.partitions(n):
+                assert _star_decides_star_inverse(t, p), (t, p)
+                pairs += 1
+    assert (pairs, non_racks) == (1089, 205)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.permutations(range(4)), min_size=4, max_size=4))
+def test_star_alone_decides_on_order4_tables_with_permutation_columns(cols):
+    t = tb.Table(tuple(zip(*cols)))
+    for p in cg.partitions(4):
+        assert _star_decides_star_inverse(t, p), (t, p)
 
 
 def test_classification_requires_a_rack():
@@ -295,6 +342,9 @@ def test_no_half_congruences_on_small_racks():
     for n in (1, 2, 3):
         for t in tb.enumerate_racks(n):
             assert cg.no_half_congruences(t)
+            assert all(cls in (CC.BOTH, CC.NEITHER) for _, cls in two_sided.search(t))
+    with pytest.raises(ValueError, match="not a rack"):
+        cg.no_half_congruences(tb.Table(((0, 1), (1, 0))))
 
 
 # ---------------------------------------------------------------------------
