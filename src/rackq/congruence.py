@@ -285,13 +285,6 @@ def congruences_report(r: Table) -> list[dict]:
     ]
 
 
-def no_half_congruences(r: Table) -> bool:
-    """True iff no partition of r is a half congruence, which holds on every
-    finite rack (see the module docstring); ValueError unless r is a rack."""
-    _rack_rows(r)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # subracks and homomorphisms
 

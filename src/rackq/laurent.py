@@ -6,32 +6,51 @@ exact polynomial division) and a parity-shift relation that respects the
 primary operation although it is not the coset relation of any single
 difference set: the allowed difference of a pair depends on the parity
 of the left element's coefficient sum.
+
+A polynomial is two int tuples, its exponents and their coefficients,
+with no object per term: the kernels below merge, shift and sum those
+tuples, and every polynomial they return is built by the unchecked
+_make.  The public constructor checks that every term is a pair of ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import neg
 
-from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, side_sign
+from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, excerpt, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
 
 
 class LaurentPoly(Record):
-    """Finite integer combination of powers t^e, e in Z, stored as sorted
-    (exponent, coefficient) pairs with no zero coefficients."""
+    """Finite integer combination of powers t^e, e in Z, stored as two int
+    tuples of equal length: the exponents, strictly increasing, and their
+    coefficients, none zero.
 
-    __slots__ = ("terms",)
+    The terms are given as a dict from exponent to coefficient or as an
+    iterable of (exponent, coefficient) pairs, whose coefficients at a
+    repeated exponent add up; or, with coeffs given, as the exponents and
+    the coefficients one for one.  Every exponent and coefficient must be
+    an int (not a bool): anything else is a ValueError."""
 
-    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
-        raw = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[int, int] = {}
-        for e, c in raw:
-            acc[e] = acc.get(e, 0) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        )
+    __slots__ = ("exps", "coeffs")
+
+    def __init__(self, exps=(), coeffs=None):
+        terms = exps if coeffs is None else zip(exps, coeffs, strict=True)
+        if not isinstance(terms, dict):
+            pairs, terms = terms, {}
+            for e, c in pairs:
+                # a lone term keeps its type, so that the check below sees it
+                terms[e] = terms[e] + c if e in terms else c
+        if not (_INT.issuperset(map(type, terms)) and _INT.issuperset(map(type, terms.values()))):
+            bad = next(t for t in terms.items() if not _INT.issuperset(map(type, t)))
+            shown, more = excerpt(repr(bad))
+            raise ValueError(f"term {shown}{more} needs an int exponent and an int coefficient")
+        exps, coeffs = _split(terms)
+        _set_exps(self, exps)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -42,70 +61,74 @@ class LaurentPoly(Record):
         return cls({e: 1})
 
     def coeff(self, e: int) -> int:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
+        exps = self.exps
+        i = bisect_left(exps, e)
+        return self.coeffs[i] if i < len(exps) and exps[i] == e else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.exps
 
     @property
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self.exps:
             raise ValueError("zero polynomial has no valuation")
-        return self.terms[0][0]
+        return self.exps[0]
 
     @property
     def max_exp(self) -> int:
-        if not self.terms:
+        if not self.exps:
             raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
+        return self.exps[-1]
 
     def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        _set_terms(p := _new(LaurentPoly), tuple([(e + k, c) for e, c in self.terms]))
-        return p
+        """Multiply by t^k: new exponents, the same coefficient tuple."""
+        return _make(tuple([e + k for e in self.exps]), self.coeffs)
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other: one pass over the left operand's terms, kept
-        as they are, against the right's by index; the rest added in one step."""
-        b = other.terms
-        nb = len(b)
+        """self + sign * other: one pass over the left operand's terms
+        against the right's by index; the rest of the right added as a slice."""
+        eb, cb = other.exps, other.coeffs
+        nb = len(eb)
         if not nb:
             return self
-        out = []
-        append = out.append
-        eb, cb = b[0]
+        # list.append called as a method is a specialised instruction on
+        # Python 3.11; a pre-bound append is a generic call, and slower
+        exps, coeffs = [], []
         j = 0
-        rest = iter(self.terms)
-        for ta in rest:
-            ea = ta[0]
-            while eb < ea:
-                append((eb, sign * cb))
+        y = eb[0]
+        rest = zip(self.exps, self.coeffs)
+        for x, c in rest:
+            while y < x:
+                exps.append(y)
+                coeffs.append(sign * cb[j])
                 j += 1
                 if j == nb:
-                    append(ta)
+                    exps.append(x)
+                    coeffs.append(c)
                     break
-                eb, cb = b[j]
+                y = eb[j]
             else:
-                if ea < eb:
-                    append(ta)
+                if x < y:
+                    exps.append(x)
+                    coeffs.append(c)
                     continue
-                c = ta[1] + sign * cb
+                c += sign * cb[j]
                 if c:
-                    append((ea, c))
+                    exps.append(x)
+                    coeffs.append(c)
                 j += 1
                 if j < nb:
-                    eb, cb = b[j]
+                    y = eb[j]
                     continue
-            out += rest  # b has ended
+            for x, c in rest:  # the right operand has ended
+                exps.append(x)
+                coeffs.append(c)
             break
         else:
-            out += b[j:] if sign == 1 else [(e, -c) for e, c in b[j:]]
-        _set_terms(p := _new(LaurentPoly), tuple(out))
-        return p
+            exps += eb[j:]
+            coeffs += cb[j:] if sign == 1 else map(neg, cb[j:])
+        return _make(tuple(exps), tuple(coeffs))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._merge(other, 1)
@@ -114,25 +137,43 @@ class LaurentPoly(Record):
         return self._merge(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        _set_terms(p := _new(LaurentPoly), tuple([(e, -c) for e, c in self.terms]))
-        return p
+        return _make(self.exps, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        pairs = [*zip(other.exps, other.coeffs)]
+        for e1, c1 in zip(self.exps, self.coeffs):
+            for e2, c2 in pairs:
                 key = e1 + e2
                 out[key] = out.get(key, 0) + c1 * c2
-        _set_terms(p := _new(LaurentPoly), tuple(sorted(t for t in out.items() if t[1])))
-        return p
+        return _make(*_split(out))
 
     def __str__(self) -> str:
         return format_laurent(self)
 
 
-# Trusted constructor, terms sorted with no zero: _set_terms(p := _new(LaurentPoly), terms).
+_INT = {int}
 _new = object.__new__
-_set_terms = LaurentPoly.terms.__set__
+_set_exps = LaurentPoly.exps.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _make(exps: tuple, coeffs: tuple) -> LaurentPoly:
+    """Trusted constructor: int tuples of equal length, exps strictly
+    increasing, no coefficient zero; nothing is checked."""
+    p = _new(LaurentPoly)
+    _set_exps(p, exps)
+    _set_coeffs(p, coeffs)
+    return p
+
+
+def _split(terms: dict[int, int]) -> tuple[tuple, tuple]:
+    """(exps, coeffs) of a dict from exponent to coefficient, zero
+    coefficients dropped: filtered, sorted and looked up in C."""
+    coeff = terms.__getitem__
+    exps = sorted(filter(coeff, terms))
+    return tuple(exps), tuple(map(coeff, exps))
+
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
@@ -142,16 +183,13 @@ T_INV = LaurentPoly.t(-1)
 
 def eval_at_one(p: LaurentPoly) -> int:
     """Sum of coefficients (the value at t = 1)."""
-    total = 0
-    for _, c in p.terms:
-        total += c
-    return total
+    return sum(p.coeffs)
 
 
 def in_poly_ring(p: LaurentPoly) -> bool:
     """No negative exponents (zero counts as in Z[t])."""
-    terms = p.terms
-    return not terms or terms[0][0] >= 0
+    exps = p.exps
+    return not exps or exps[0] >= 0
 
 
 def alexander_op(f: LaurentPoly, g: LaurentPoly, side: str = PRIMARY) -> LaurentPoly:
@@ -176,18 +214,17 @@ def parity_shift_relation(f: LaurentPoly, g: LaurentPoly) -> bool:
 
     Decided on the terms without forming g - f: the difference lies in
     Z[t] exactly when f and g have the same negative-exponent terms, and
-    its coefficient sum is eval_at_one(g) - eval_at_one(f), summed inline.
+    its coefficient sum is eval_at_one(g) - eval_at_one(f), two sums in C.
     """
-    a, b = f.terms, g.terms
-    k = bisect_left(a, (0,))  # number of negative exponents in f
-    if a[:k] != b[:k] or (len(b) > k and b[k][0] < 0):
+    ea, eb = f.exps, g.exps
+    k = bisect_left(ea, 0)  # number of negative exponents in f
+    if bisect_left(eb, 0) != k:
         return False
-    ef = 0
-    for _, c in a:
-        ef += c
-    d = -ef
-    for _, c in b:
-        d += c
+    ca, cb = f.coeffs, g.coeffs
+    if k and (ca[:k] != cb[:k] or ea[:k] != eb[:k]):
+        return False
+    ef = sum(ca)
+    d = sum(cb) - ef
     return d == 0 or d == (-1 if ef % 2 else 1)
 
 
@@ -220,18 +257,11 @@ def in_difference_set(f: LaurentPoly, d: LaurentPoly) -> bool:
 
     A constant shift keeps d in or out of Z[t] and moves its coefficient
     sum by the constant, so no shifted polynomial is built."""
-    terms = d.terms
-    if terms and terms[0][0] < 0:
+    exps = d.exps
+    if exps and exps[0] < 0:
         return False
-    s = 0
-    for _, c in terms:
-        s += c
-    if not s:
-        return True
-    ef = 0
-    for _, c in f.terms:
-        ef += c
-    return s == (-1 if ef % 2 else 1)
+    s = sum(d.coeffs)
+    return not s or s == (-1 if sum(f.coeffs) % 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +285,27 @@ class PrincipalSubmodule(Record):
             return True
         # Divide by t^v for the generator's valuation v, skipped when v = 0.
         h0 = self.generator
-        v = h0.terms[0][0]
+        v = h0.exps[0]
         if v:
             h0 = h0.shifted(-v)
         if self.ring == LAURENT_RING:
             # Units +-t^k are absorbed by normalising both to valuation 0.
-            v = d.terms[0][0]
+            v = d.exps[0]
         if v:
             d = d.shifted(-v)
-        return d.terms[0][0] >= 0 and _exact_divides(d, h0)
+        return d.exps[0] >= 0 and _exact_divides(d, h0)
 
 
 def _exact_divides(num: LaurentPoly, den: LaurentPoly) -> bool:
     """Whether den divides num in Z[t] with an integer quotient; num is
     nonzero in Z[t], den has valuation 0; dense long division."""
+    exps, coeffs = den.exps, den.coeffs
+    deg, lead = exps[-1], coeffs[-1]
+    lower = [*zip(exps[:-1], coeffs[:-1])]
     width = num.max_exp + 1
     rem = [0] * width
-    for e, c in num.terms:
+    for e, c in zip(num.exps, num.coeffs):
         rem[e] = c
-    *lower, (deg, lead) = den.terms
     for top in range(width - 1, deg - 1, -1):
         c = rem[top]
         if c:
@@ -370,7 +402,7 @@ def format_laurent(p: LaurentPoly) -> str:
     if p.is_zero:
         return "0"
     chunks = []
-    for e, c in sorted(p.terms, reverse=True):
+    for e, c in zip(reversed(p.exps), reversed(p.coeffs)):
         mag = abs(c)
         if e == 0:
             body = str(mag)

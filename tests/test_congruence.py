@@ -341,10 +341,7 @@ def test_quotient_rejects_mismatched_orders_and_non_racks():
 def test_no_half_congruences_on_small_racks():
     for n in (1, 2, 3):
         for t in tb.enumerate_racks(n):
-            assert cg.no_half_congruences(t)
             assert all(cls in (CC.BOTH, CC.NEITHER) for _, cls in two_sided.search(t))
-    with pytest.raises(ValueError, match="not a rack"):
-        cg.no_half_congruences(tb.Table(((0, 1), (1, 0))))
 
 
 # ---------------------------------------------------------------------------

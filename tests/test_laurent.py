@@ -1,5 +1,10 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,11 +18,22 @@ def lp(mapping):
     return LaurentPoly(mapping)
 
 
+def terms(p):
+    """The (exponent, coefficient) pairs of p, after checking its layout:
+    two int tuples of equal length, exponents strictly increasing, no
+    coefficient zero."""
+    exps, coeffs = p.exps, p.coeffs
+    assert type(exps) is tuple and type(coeffs) is tuple and len(exps) == len(coeffs)
+    assert {type(x) for x in exps + coeffs} <= {int}
+    assert all(a < b for a, b in zip(exps, exps[1:])) and 0 not in coeffs
+    return tuple(zip(exps, coeffs))
+
+
 # ---------------------------------------------------------------------------
 # representation and arithmetic
 
 def test_zero_coefficients_are_dropped():
-    assert lp({2: 0, 1: 3, 0: 0}).terms == ((1, 3),)
+    assert terms(lp({2: 0, 1: 3, 0: 0})) == ((1, 3),)
     assert lp({0: 1}) - ONE == ZERO
     assert ZERO.is_zero and not ONE.is_zero
 
@@ -37,6 +53,91 @@ poly_terms = st.dictionaries(
     st.integers(min_value=-9, max_value=9),
     max_size=6,
 )
+
+
+def test_every_way_to_zero_gives_the_empty_tuples():
+    f = la.parse_laurent("t^2 - 3 + 2t^-1")
+    zeros = [
+        LaurentPoly(), LaurentPoly({}), LaurentPoly(()), LaurentPoly({3: 0}),
+        LaurentPoly([(1, 2), (1, -2)]), LaurentPoly((), ()),
+        f - f, f + -f, f * ZERO, ZERO * f, ZERO.shifted(5), -ZERO, ZERO - ZERO,
+    ]
+    for z in zeros:
+        assert z == ZERO and z.is_zero
+        assert z.exps == z.coeffs == ()
+        assert la.eval_at_one(z) == 0 and la.format_laurent(z) == "0"
+
+
+def test_constructor_forms_agree():
+    want = lp({-1: 2, 3: -1})
+    assert terms(want) == ((-1, 2), (3, -1))
+    assert LaurentPoly([(3, -1), (-1, 2)]) == want
+    assert LaurentPoly([(3, -2), (-1, 2), (3, 1), (0, 4), (0, -4)]) == want
+    assert LaurentPoly((3, -1), (-1, 2)) == want
+    assert LaurentPoly(exps=(-1, 3), coeffs=(2, -1)) == want
+    with pytest.raises(ValueError):
+        LaurentPoly((0, 1), (5,))
+
+
+@pytest.mark.parametrize("given", [
+    {0: 1.5, 0.5: 2},
+    {0.5: 2},
+    {True: 1},
+    {0: True},
+    {0: Fraction(1, 2)},
+    {Fraction(2): 1},
+    {1: 1, 2: 2.0},
+    {0: 0.0},
+    {0.5: 0},
+    [(0, 1.5)],
+    [(True, 1)],
+    [(0, False), (1, 1)],
+    [(0, 1), (0, 0.5)],
+])
+def test_constructor_rejects_a_term_that_is_not_two_ints(given):
+    with pytest.raises(ValueError, match="needs an int exponent and an int coefficient"):
+        LaurentPoly(given)
+
+
+def test_constructor_quotes_an_excerpt_of_the_bad_term():
+    with pytest.raises(ValueError, match=r"term \(0\.5, 2\)"):
+        LaurentPoly({0: 1, 0.5: 2})
+    with pytest.raises(ValueError) as info:
+        LaurentPoly({0: Fraction(10**1000 + 1, 3)})
+    message = str(info.value)
+    assert len(message) < 300 and "characters)" in message
+    for bad in (2.0, True, Fraction(2)):
+        with pytest.raises(ValueError):
+            LaurentPoly.constant(bad)
+        with pytest.raises(ValueError):
+            LaurentPoly.t(bad)
+
+
+def test_grid_polynomials_take_under_256_traced_bytes_each():
+    # the 3,125 polynomials of criterion 9: one object and two small
+    # tuples each (about 201 bytes on Python 3.11), where one tuple per
+    # term took 344
+    grid = [dict(zip(range(-2, 3), c)) for c in itertools.product(range(-2, 3), repeat=5)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        polys = [LaurentPoly(d) for d in grid]
+        per_poly = (tracemalloc.get_traced_memory()[0] - before) / len(polys)
+    finally:
+        tracemalloc.stop()
+    assert per_poly < 256, per_poly
+
+
+@given(poly_terms)
+def test_copy_and_pickle_round_trip(d):
+    f = lp(d)
+    for other in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert other == f and terms(other) == terms(f) and hash(other) == hash(f)
+    if not f.is_zero:
+        m = la.PrincipalSubmodule(f, la.LAURENT_RING)
+        for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert other == m and other.generator == f and other.ring == la.LAURENT_RING
 
 
 @given(poly_terms, poly_terms)
@@ -447,21 +548,21 @@ def test_kernels_match_reference_on_sparse_polynomials():
         # partners sharing f's negative part exercise the equal-prefix path
         g = f + random_sparse(rng) if rng.random() < 0.5 else random_sparse(rng)
         if rng.random() < 0.5:
-            g = lp({e: c for e, c in g.terms if e >= 0}) + lp(
-                {e: c for e, c in f.terms if e < 0})
+            g = lp({e: c for e, c in zip(g.exps, g.coeffs) if e >= 0}) + lp(
+                {e: c for e, c in zip(f.exps, f.coeffs) if e < 0})
         d = g - f
         assert la.in_difference_set(f, d) == reference_in_difference_set(f, d)
         assert la.parity_shift_relation(f, g) == reference_relation(f, g)
         for side in (PRIMARY, INVERSE):
             got = la.alexander_op(f, g, side)
-            assert got.terms == reference_alexander_op(f, g, side).terms
+            assert terms(got) == terms(reference_alexander_op(f, g, side))
 
 
 @given(poly_terms, poly_terms)
 def test_alexander_op_matches_reference(da, db):
     f, g = lp(da), lp(db)
     for side in (PRIMARY, INVERSE):
-        assert la.alexander_op(f, g, side).terms == reference_alexander_op(f, g, side).terms
+        assert terms(la.alexander_op(f, g, side)) == terms(reference_alexander_op(f, g, side))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +570,7 @@ def test_alexander_op_matches_reference(da, db):
 
 def _merge_reference(p, q, sign):
     """p + sign * q by the merge that built a generator for q's tail."""
-    a, b = p.terms, q.terms
+    a, b = terms(p), terms(q)
     i = j = 0
     out = []
     while i < len(a) and j < len(b):
@@ -495,17 +596,17 @@ def _merge_reference(p, q, sign):
 def _mul_reference(p, q):
     """p * q re-accumulated through the public constructor."""
     out = {}
-    for e1, c1 in p.terms:
-        for e2, c2 in q.terms:
+    for e1, c1 in zip(p.exps, p.coeffs):
+        for e2, c2 in zip(q.exps, q.coeffs):
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return LaurentPoly(out)
 
 
 def _assert_arithmetic_matches_reference(f, g):
     for x, y in ((f, g), (g, f)):
-        assert (x + y).terms == _merge_reference(x, y, 1).terms
-        assert (x - y).terms == _merge_reference(x, y, -1).terms
-    assert (f * g).terms == _mul_reference(f, g).terms
+        assert terms(x + y) == terms(_merge_reference(x, y, 1))
+        assert terms(x - y) == terms(_merge_reference(x, y, -1))
+    assert terms(f * g) == terms(_mul_reference(f, g))
 
 
 wide_terms = st.dictionaries(
@@ -533,7 +634,7 @@ def arithmetic_pairs(draw):
     if kind == "negated":
         return f, -f
     if kind == "disjoint":
-        return f, lp({e: c for e, c in h.terms if f.coeff(e) == 0})
+        return f, lp({e: c for e, c in zip(h.exps, h.coeffs) if f.coeff(e) == 0})
     if kind == "above" and not (f.is_zero or h.is_zero):
         return f, h.shifted(f.max_exp - h.min_exp + draw(st.integers(1, 3)))
     return f, h
@@ -544,11 +645,12 @@ def test_arithmetic_matches_the_reference_term_loops(pair):
     _assert_arithmetic_matches_reference(*pair)
     f, g = pair
     for side in (PRIMARY, INVERSE):
-        assert la.alexander_op(f, g, side).terms == reference_alexander_op(f, g, side).terms
+        assert terms(la.alexander_op(f, g, side)) == terms(reference_alexander_op(f, g, side))
     # shifts and negation against the public constructor
     for k in (-7, 0, 3):
-        assert f.shifted(k).terms == LaurentPoly([(e + k, c) for e, c in f.terms]).terms
-    assert (-g).terms == LaurentPoly([(e, -c) for e, c in g.terms]).terms
+        shifted = LaurentPoly([(e + k, c) for e, c in zip(f.exps, f.coeffs)])
+        assert terms(f.shifted(k)) == terms(shifted)
+    assert terms(-g) == terms(LaurentPoly([(e, -c) for e, c in zip(g.exps, g.coeffs)]))
 
 
 def test_arithmetic_matches_the_reference_term_loops_on_grid_rows():
@@ -571,10 +673,10 @@ def _exact_divides_reference(num, den):
         return True
     width = num.max_exp + 1
     rem = [0] * width
-    for e, c in num.terms:
+    for e, c in zip(num.exps, num.coeffs):
         rem[e] = c
     dense_den = [0] * (den.max_exp + 1)
-    for e, c in den.terms:
+    for e, c in zip(den.exps, den.coeffs):
         dense_den[e] = c
     deg = len(dense_den) - 1
     lead = dense_den[-1]

@@ -39,11 +39,11 @@ CASES = [
      {"domain_order": 2, "codomain_order": 3, "image": (2, 0)},
      "FiniteMap(domain_order=2, codomain_order=3, image=(2, 0))"),
     (lambda: la.LaurentPoly({3: -1, -1: 2}),
-     {"terms": ((-1, 2), (3, -1))},
-     "LaurentPoly(terms=((-1, 2), (3, -1)))"),
+     {"exps": (-1, 3), "coeffs": (2, -1)},
+     "LaurentPoly(exps=(-1, 3), coeffs=(2, -1))"),
     (lambda: la.PrincipalSubmodule(la.LaurentPoly({1: 1, 0: -1}), la.LAURENT_RING),
      {"generator": la.LaurentPoly({1: 1, 0: -1}), "ring": "laurent"},
-     "PrincipalSubmodule(generator=LaurentPoly(terms=((0, -1), (1, 1))), ring='laurent')"),
+     "PrincipalSubmodule(generator=LaurentPoly(exps=(0, 1), coeffs=(-1, 1)), ring='laurent')"),
     (lambda: sh.BiSeq(0, -2, (0, 1, 1, 0), 0),
      {"left_tail": 0, "start": -1, "word": (1, 1), "right_tail": 0},
      "BiSeq(left_tail=0, start=-1, word=(1, 1), right_tail=0)"),
