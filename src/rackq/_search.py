@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .tables import MAX_ENUM_ORDER, Table, _homomorphic, _picker, excerpt, invert_perm
+from .tables import MAX_ENUM_ORDER, Table, _homomorphic, _picker, _quoted, invert_perm
 
 
 def _twin_classes(rows) -> list[int]:
@@ -224,7 +224,7 @@ def canonical_form(m: Table) -> Table:
     branches only where the least table is still open (_canonical_rows),
     not by trying all n! relabellings.
     """
-    return Table._from_rows(_canonical_rows(m.rows))
+    return Table._new(_canonical_rows(m.rows))
 
 
 def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False) -> list[Table]:
@@ -250,8 +250,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     tuples.  Output is sorted by table rows, so the order is deterministic.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
-        shown, more = excerpt(str(n))
-        raise ValueError(f"order {shown}{more} outside supported range 1..{MAX_ENUM_ORDER}")
+        raise ValueError(f"order {_quoted(n)} outside supported range 1..{MAX_ENUM_ORDER}")
     return _enumerate_racks(n, quandles_only, up_to_iso)
 
 
@@ -266,7 +265,7 @@ def _enumerate_racks(n: int, quandles_only: bool, up_to_iso: bool) -> list[Table
     for i, c in enumerate(found):
         found[i] = tuple([shared.setdefault(row, row) for row in zip(*map(perms.__getitem__, c))])
     found.sort()
-    return [Table._from_rows(rows) for rows in found]
+    return [Table._new(rows) for rows in found]
 
 
 def _composition_table(perms, index) -> list[tuple[int, ...]]:

@@ -156,11 +156,10 @@ MAX_SAMPLES = 100_000
 
 
 def _check_samples(samples: int) -> None:
-    shown, more = tb.excerpt(str(samples))
     if samples < 0:
-        raise ValueError(f"--samples must be non-negative, got {shown}{more}")
+        raise ValueError(f"--samples must be non-negative, got {tb._quoted(samples)}")
     if samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {shown}{more}")
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {tb._quoted(samples)}")
 
 
 # classify-tau draws at most this many --samples times digits (of the longest

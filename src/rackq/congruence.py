@@ -20,7 +20,7 @@ import itertools
 # them without this module
 from .tables import (
     _CLASS_OF, CongruenceClass, Record, Table, _homomorphic, _permutation_columns, _quoted,
-    _rack_rows, excerpt,
+    _rack_rows,
 )
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
@@ -53,18 +53,10 @@ class Partition(Record):
 
     __slots__ = ("block_of",)
 
-    def __init__(self, block_of: tuple[int, ...]):
+    def __new__(cls, block_of: tuple[int, ...]):
         if len(block_of) == 0:
             raise ValueError("partition of the empty set")
-        object.__setattr__(self, "block_of", _rgs(block_of))
-
-    @classmethod
-    def _from_rgs(cls, block_of: tuple[int, ...]) -> "Partition":
-        # Fast path for enumeration: block_of is already a nonempty
-        # restricted growth string.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "block_of", block_of)
-        return obj
+        return cls._new(_rgs(block_of))
 
     @classmethod
     def from_blocks(cls, blocks, order: int | None = None) -> "Partition":
@@ -75,8 +67,7 @@ class Partition(Record):
         if order is None:
             order = len(elements)
         if sorted(elements) != list(range(order)):
-            shown, more = excerpt(str(blocks))
-            raise ValueError(f"blocks do not partition 0..{order - 1}: {shown}{more}")
+            raise ValueError(f"blocks do not partition 0..{order - 1}: {_quoted(blocks)}")
         labels = [0] * order
         for i, b in enumerate(blocks):
             for x in b:
@@ -111,7 +102,7 @@ def _completions(a: list[int], i: int, top: int):
     """The partitions whose growth strings extend a[:i], whose largest
     label is top, in growth-string order; a[i:] is overwritten."""
     if i == len(a):
-        yield Partition._from_rgs(tuple(a))
+        yield Partition._new(tuple(a))
         return
     for v in range(top + 2):
         a[i] = v
@@ -187,7 +178,7 @@ def try_induced_table(m: Table, p: Partition):
         c, d = conflict
         # the cell was first set by the least member of each block
         return None, (blk.index(blk[c]), blk.index(blk[d]), c, d)
-    return Table._from_rows(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k))), None
+    return Table._new(tuple(tuple(cells[i * k:(i + 1) * k]) for i in range(k))), None
 
 
 class QuotientRack(Record):
@@ -242,8 +233,7 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
     cells = [-1] * (n * n)
     blk = [0] * n
     out: list[tuple[Partition, CongruenceClass]] = []
-    # each leaf is built as Partition._from_rgs builds it, without the call
-    new, set_block_of = object.__new__, Partition._setters[0]
+    partition = Partition._new
 
     def search(i: int, top: int, ok: bool) -> None:
         completed, last = products[i], i + 1 == n
@@ -261,9 +251,7 @@ def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
                         holds = False
                         break
             if last:
-                leaf = new(Partition)
-                set_block_of(leaf, tuple(blk))
-                out.append((leaf, _BY_PRIMARY[holds]))
+                out.append((partition(tuple(blk)), _BY_PRIMARY[holds]))
             else:
                 search(i + 1, max(top, v), holds)
             for c in done:
@@ -305,15 +293,13 @@ class FiniteMap(Record):
 
     __slots__ = ("domain_order", "codomain_order", "image")
 
-    def __init__(self, domain_order: int, codomain_order: int, image: tuple[int, ...]):
+    def __new__(cls, domain_order: int, codomain_order: int, image: tuple[int, ...]):
         image = tuple(image)
-        object.__setattr__(self, "domain_order", domain_order)
-        object.__setattr__(self, "codomain_order", codomain_order)
-        object.__setattr__(self, "image", image)
         if len(image) != domain_order:
             raise ValueError("image length != domain order")
         if any(not 0 <= v < codomain_order for v in image):
             raise ValueError("image entry outside codomain")
+        return cls._new(domain_order, codomain_order, image)
 
     def __call__(self, x: int) -> int:
         return self.image[x]

@@ -10,7 +10,8 @@ of the left element's coefficient sum.
 A polynomial is two int tuples, its exponents and their coefficients,
 with no object per term: the kernels below merge, shift and sum those
 tuples, and every polynomial they return is built by the unchecked
-_make.  The public constructor checks that every term is a pair of ints.
+LaurentPoly._new.  The public constructor checks that every term is a
+pair of ints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import neg
 
-from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, excerpt, side_sign
+from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -37,7 +38,7 @@ class LaurentPoly(Record):
 
     __slots__ = ("exps", "coeffs")
 
-    def __init__(self, exps=(), coeffs=None):
+    def __new__(cls, exps=(), coeffs=None):
         terms = exps if coeffs is None else zip(exps, coeffs, strict=True)
         if not isinstance(terms, dict):
             pairs, terms = terms, {}
@@ -46,11 +47,9 @@ class LaurentPoly(Record):
                 terms[e] = terms[e] + c if e in terms else c
         if not (_INT.issuperset(map(type, terms)) and _INT.issuperset(map(type, terms.values()))):
             bad = next(t for t in terms.items() if not _INT.issuperset(map(type, t)))
-            shown, more = excerpt(repr(bad))
-            raise ValueError(f"term {shown}{more} needs an int exponent and an int coefficient")
-        exps, coeffs = _split(terms)
-        _set_exps(self, exps)
-        _set_coeffs(self, coeffs)
+            raise ValueError(f"term {_quoted(bad)} needs an int exponent and an int coefficient")
+        exps, coeffs = _split(terms)  # a call with *args would not be inlined
+        return cls._new(exps, coeffs)
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -153,18 +152,9 @@ class LaurentPoly(Record):
 
 
 _INT = {int}
-_new = object.__new__
-_set_exps = LaurentPoly.exps.__set__
-_set_coeffs = LaurentPoly.coeffs.__set__
-
-
-def _make(exps: tuple, coeffs: tuple) -> LaurentPoly:
-    """Trusted constructor: int tuples of equal length, exps strictly
-    increasing, no coefficient zero; nothing is checked."""
-    p = _new(LaurentPoly)
-    _set_exps(p, exps)
-    _set_coeffs(p, coeffs)
-    return p
+# the kernels' trusted constructor, as a global: int tuples of equal
+# length, exps strictly increasing, no coefficient zero
+_make = LaurentPoly._new
 
 
 def _split(terms: dict[int, int]) -> tuple[tuple, tuple]:
@@ -273,12 +263,12 @@ class PrincipalSubmodule(Record):
 
     __slots__ = ("generator", "ring")
 
-    def __init__(self, generator: LaurentPoly, ring: str = POLY_RING):
+    def __new__(cls, generator: LaurentPoly, ring: str = POLY_RING):
         if generator.is_zero:
             raise ValueError("generator must be nonzero")
         if ring not in (POLY_RING, LAURENT_RING):
             raise ValueError(f"ring must be {POLY_RING!r} or {LAURENT_RING!r}")
-        super().__init__(generator, ring)
+        return cls._new(generator, ring)
 
     def contains(self, d: LaurentPoly) -> bool:
         if d.is_zero:
@@ -371,7 +361,7 @@ def parse_laurent(text: str) -> LaurentPoly:
         while j < len(s) and s[j].isdigit():
             j += 1
         has_coeff = j > i
-        coeff = int(s[i:j]) if has_coeff else 1
+        coeff = _int_literal(s[i:j], text) if has_coeff else 1
         i = j
         if i < len(s) and s[i] == "t":
             i += 1
@@ -383,7 +373,7 @@ def parse_laurent(text: str) -> LaurentPoly:
                     k += 1
                 if k == i or (k == i + 1 and s[i] in "+-"):
                     raise ValueError(f"missing exponent in {_quoted(text)}")
-                exp = int(s[i:k])
+                exp = _int_literal(s[i:k], text)
                 i = k
         elif has_coeff:
             exp = 0
@@ -395,6 +385,16 @@ def parse_laurent(text: str) -> LaurentPoly:
         while i < len(s) and s[i].isspace():
             i += 1
     return LaurentPoly(terms)
+
+
+def _int_literal(digits: str, text: str) -> int:
+    """int(digits) for a signed run of digits in the literal text; a
+    ValueError that quotes both when the run is past Python's int-to-str
+    limit (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"integer {_quoted(digits)} in {_quoted(text)} is too long") from None
 
 
 def format_laurent(p: LaurentPoly) -> str:

@@ -35,55 +35,13 @@ class BiSeq(Record):
 
     __slots__ = ("left_tail", "start", "word", "right_tail")
 
-    def __init__(self, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
+    def __new__(cls, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
         if left_tail not in (0, 1) or right_tail not in (0, 1):
             raise ValueError("tail bits must be 0 or 1")
         word = tuple(word)
         if any(b not in (0, 1) for b in word):
             raise ValueError("word bits must be 0 or 1")
-        self._canonicalise(left_tail, start, word, right_tail)
-
-    @classmethod
-    def _from_bits(cls, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
-        # Fast path for the samplers: tail bits and a word tuple that are
-        # 0 or 1 by construction, canonicalised but not checked.
-        obj = object.__new__(cls)
-        obj._canonicalise(left_tail, start, word, right_tail)
-        return obj
-
-    def _canonicalise(self, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
-        # Set the fields from checked bits, canonically: the word begins
-        # at its first bit other than left_tail (a membership test is
-        # cheaper than the ValueError of index when there is none).
-        lo = word.index(1 - left_tail) if 1 - left_tail in word else len(word)
-        hi = len(word)
-        while hi > lo and word[hi - 1] == right_tail:
-            hi -= 1
-        if lo == hi and left_tail == right_tail:
-            start = 0
-        else:
-            start += lo
-        set_field = object.__setattr__
-        set_field(self, "left_tail", left_tail)
-        set_field(self, "start", start)
-        set_field(self, "word", word[lo:hi])
-        set_field(self, "right_tail", right_tail)
-
-    @classmethod
-    def _moved(cls, a: "BiSeq", start: int) -> "BiSeq":
-        # Fast path for shifts: a moved to begin at start, neither checked
-        # nor canonicalised again.  A shift of a canonical sequence is
-        # canonical, except that a constant one keeps start 0, so it is
-        # returned as it is.
-        if not a.word and a.left_tail == a.right_tail:
-            return a
-        obj = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(obj, "left_tail", a.left_tail)
-        set_field(obj, "start", start)
-        set_field(obj, "word", a.word)
-        set_field(obj, "right_tail", a.right_tail)
-        return obj
+        return cls._new(*_canonical(left_tail, start, word, right_tail))
 
     @property
     def end(self) -> int:
@@ -98,21 +56,41 @@ class BiSeq(Record):
         return self.right_tail
 
 
-def shift(a: BiSeq, direction: str) -> BiSeq:
-    """Left shift moves every bit one index down: (shift left a)_i = a_{i+1}.
+def _canonical(left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
+    """The fields of the sequence given by 0/1 bits, canonically: the
+    word begins at its first bit other than left_tail (a membership test
+    is cheaper than the ValueError of index when there is none) and ends
+    at its last bit other than right_tail, and a constant sequence
+    starts at 0."""
+    lo = word.index(1 - left_tail) if 1 - left_tail in word else len(word)
+    hi = len(word)
+    while hi > lo and word[hi - 1] == right_tail:
+        hi -= 1
+    if lo == hi and left_tail == right_tail:
+        start = 0
+    else:
+        start += lo
+    return left_tail, start, word[lo:hi], right_tail
 
-    Only the start moves (BiSeq._moved), and a constant sequence is its
-    own shift."""
+
+def shift(a: BiSeq, direction: str) -> BiSeq:
+    """Left shift moves every bit one index down: (shift left a)_i = a_{i+1}."""
     if direction == LEFT:
-        return BiSeq._moved(a, a.start - 1)
+        return shift_by(a, 1)
     if direction == RIGHT:
-        return BiSeq._moved(a, a.start + 1)
+        return shift_by(a, -1)
     raise ValueError(f"direction must be {LEFT!r} or {RIGHT!r}")
 
 
 def shift_by(a: BiSeq, k: int) -> BiSeq:
-    """k-fold left shift; negative k shifts right."""
-    return BiSeq._moved(a, a.start - k)
+    """k-fold left shift; negative k shifts right.
+
+    Only the start moves, with no check or canonicalisation, which a
+    shift of a canonical sequence cannot change; a constant sequence
+    keeps start 0, so it is its own shift."""
+    if not a.word and a.left_tail == a.right_tail:
+        return a
+    return BiSeq._new(a.left_tail, a.start - k, a.word, a.right_tail)
 
 
 def agree_nonneg(a: BiSeq, b: BiSeq) -> bool:
@@ -218,12 +196,12 @@ class NormalForm(Record):
 
     __slots__ = ("gen", "power")
 
-    def __init__(self, gen: str, power: int = 0):
+    def __new__(cls, gen: str, power: int = 0):
         if gen not in ("a", "b", "c"):
             raise ValueError("generator must be 'a', 'b' or 'c'")
         if gen == "c" and power != 0:
             raise ValueError("c carries no power")
-        super().__init__(gen, power)
+        return cls._new(gen, power)
 
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:
@@ -236,10 +214,7 @@ def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalF
     k = 1 if side == PRIMARY else side_sign(side)
     if u.gen == "c" or v.gen != "c":
         return u
-    w = object.__new__(NormalForm)
-    object.__setattr__(w, "gen", u.gen)
-    object.__setattr__(w, "power", u.power + k)
-    return w
+    return NormalForm._new(u.gen, u.power + k)
 
 
 def embed_normal_form(u: NormalForm) -> BiSeq:
@@ -303,7 +278,8 @@ def random_biseq(rng) -> BiSeq:
         r = bits(2)
         if r < 2:
             word.append(r)
-    return BiSeq._from_bits(_draw(bits, 0, 1), _draw(bits, -8, 8), tuple(word), _draw(bits, 0, 1))
+    fields = _canonical(_draw(bits, 0, 1), _draw(bits, -8, 8), tuple(word), _draw(bits, 0, 1))
+    return BiSeq._new(*fields)
 
 
 def random_agree_partner(rng, a: BiSeq) -> BiSeq:
@@ -319,4 +295,4 @@ def random_agree_partner(rng, a: BiSeq) -> BiSeq:
             while r >= 2:
                 r = draw(2)
             bits[off] = r
-    return BiSeq._from_bits(_draw(draw, 0, 1), lo, tuple(bits), a.right_tail)
+    return BiSeq._new(*_canonical(_draw(draw, 0, 1), lo, tuple(bits), a.right_tail))

@@ -65,11 +65,22 @@ def excerpt(text: str) -> tuple[str, str]:
     return text[:EXCERPT_CHARS], f"... ({len(text)} characters)"
 
 
-def _quoted(text: str) -> str:
-    """How an error message quotes a literal from outside: the repr of
-    its excerpt, and the note of its length."""
-    shown, more = excerpt(text)
-    return f"{shown!r}{more}"
+def _quoted(value) -> str:
+    """How an error message quotes a value from outside: a string as the
+    repr of its excerpt, anything else as the excerpt of its repr, each
+    with the note of its length.  repr refuses an int past Python's
+    int-to-str limit (4,300 digits by default), and any value that holds
+    one; such a value is named by its type and size instead."""
+    if isinstance(value, str):
+        shown, more = excerpt(value)
+        return f"{shown!r}{more}"
+    try:
+        shown, more = excerpt(repr(value))
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of about {int(math.log10(abs(value))) + 1} digits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
+    return shown + more
 
 
 class RackParseError(ValueError):
@@ -88,29 +99,45 @@ class Record:
     dataclass's does.  Records compare equal only to records of the same
     class with equal fields, hash as the tuple of their fields, and print
     as ``Name(field=value, ...)``.
+
+    Every record is made by ``Cls._new(*fields)``, the trusted
+    constructor: it stores the fields as given, and no check runs.  Code
+    that builds a record from values it knows are valid and canonical
+    calls it.  ``Cls(...)`` is the checked constructor: a class with
+    checks does them in its own ``__new__`` and returns ``cls._new`` of
+    the values it computed.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
+        names = cls.__slots__
+        get = attrgetter(*names)
         # attrgetter of one name returns the value, not a 1-tuple
-        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
-        # a field is set through its slot, past the frozen __setattr__
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._key = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+        # _new sets each field through its slot, past the frozen
+        # __setattr__: one unrolled store per field from a template, as
+        # collections.namedtuple builds its methods, since a loop over the
+        # slots' setters took about twice as long
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+        namespace.update(_object_new=object.__new__, _cls=cls)
+        lines = [f"def _new({', '.join(names)}):", "    _obj = _object_new(_cls)"]
+        lines += [f"    _set_{name}(_obj, {name})" for name in names]
+        exec("\n".join(lines + ["    return _obj"]), namespace)
+        cls._new = staticmethod(namespace["_new"])
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
-            names, rest = self.__slots__, self.__slots__[len(args):]
+    def __new__(cls, *args, **kwargs):
+        names = cls.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
             if len(args) > len(names) or kwargs.keys() != set(rest):
                 raise TypeError(
-                    f"{type(self).__qualname__}({', '.join(names)}) takes each field "
+                    f"{cls.__qualname__}({', '.join(names)}) takes each field "
                     f"once, got {len(args)} by position and {[*kwargs]} by name"
                 )
             args += tuple(kwargs[name] for name in rest)
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
+        return cls._new(*args)
 
     def __eq__(self, other):
         if other is self:
@@ -146,9 +173,8 @@ class Table(Record):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(tuple(row) for row in rows)
-        object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
             raise ValueError("table must have positive order")
@@ -158,16 +184,9 @@ class Table(Record):
             for y, e in enumerate(row):
                 if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
                     raise ValueError(
-                        f"entry {e!r} at row {x}, column {y} out of range 0..{n - 1}"
+                        f"entry {_quoted(e)} at row {x}, column {y} out of range 0..{n - 1}"
                     )
-
-    @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "Table":
-        # Fast path for tables rackq builds itself: rows is already a
-        # tuple of n tuples of n ints in 0..n-1.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "rows", rows)
-        return obj
+        return cls._new(rows)
 
     @property
     def order(self) -> int:
@@ -189,10 +208,11 @@ class AxiomReport(Record):
         "idempotent", "right_invertible", "right_self_distributive", "is_rack", "is_quandle",
     )
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        assert self.is_rack == (self.right_invertible and self.right_self_distributive)
-        assert self.is_quandle == (self.is_rack and self.idempotent)
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        assert report.is_rack == (report.right_invertible and report.right_self_distributive)
+        assert report.is_quandle == (report.is_rack and report.idempotent)
+        return report
 
 
 class CongruenceClass(Enum):
@@ -346,7 +366,7 @@ def inverse_table(m: Table) -> Table:
     Entry (x, y) is the image of x under the inverse of column-permutation
     S_y, so that (x *' y) * y = x and (x * y) *' y = x on all pairs.
     """
-    return Table._from_rows(_inverse_rows(_permutation_columns(m.rows)))
+    return Table._new(_inverse_rows(_permutation_columns(m.rows)))
 
 
 def exponent(r: Table) -> int:
@@ -373,9 +393,8 @@ def relabel(m: Table, p: Perm) -> Table:
     """
     n = m.order
     if len(p) != n or any(type(v) is not int for v in p) or not is_permutation(p):
-        shown, more = excerpt(str(p))
-        raise ValueError(f"relabelling {shown}{more} is not a permutation of 0..{n - 1}")
-    return Table._from_rows(_relabel_rows(m.rows, p, invert_perm(p)))
+        raise ValueError(f"relabelling {_quoted(p)} is not a permutation of 0..{n - 1}")
+    return Table._new(_relabel_rows(m.rows, p, invert_perm(p)))
 
 
 def _relabel_rows(rows, p, q):
@@ -489,7 +508,7 @@ def parse_rack(text: str) -> Table:
             if order <= 0:
                 raise RackParseError(f"line {lineno}: order must be positive", lineno)
             # int() takes up to 4,300 digits, so messages echo an excerpt
-            order_text = "".join(excerpt(str(order)))
+            order_text = _quoted(order)
             continue
         if len(rows) == order:
             raise RackParseError(f"line {lineno}: more than {order_text} rows", lineno)
@@ -510,10 +529,9 @@ def parse_rack(text: str) -> Table:
                     lineno, colno,
                 )
             if not 0 <= e < order:
-                shown, more = excerpt(str(e))
                 raise RackParseError(
                     f"line {lineno}, column {colno}: entry out of range 0..{order - 1}: "
-                    f"{shown}{more}",
+                    f"{_quoted(e)}",
                     lineno, colno,
                 )
             entries.append(e)
@@ -523,7 +541,7 @@ def parse_rack(text: str) -> Table:
     if len(rows) != order:
         raise RackParseError(f"expected {order_text} rows, got {len(rows)}")
     # every entry was checked above
-    return Table._from_rows(tuple(rows))
+    return Table._new(tuple(rows))
 
 
 def format_rack(m: Table) -> str:

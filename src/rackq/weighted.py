@@ -30,11 +30,11 @@ class Weight(Record):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __new__(cls, value: Fraction):
         value = Fraction(value)
-        object.__setattr__(self, "value", value)
         if value == 0:
             raise ValueError("weight must be nonzero")
+        return cls._new(value)
 
     @property
     def p(self) -> int:
@@ -91,10 +91,9 @@ class SubgroupDescriptor(Record):
 
     __slots__ = ("kind", "g", "m")
 
-    def __init__(self, kind: str, g: Fraction = Fraction(1), m: int = 1):
+    def __new__(cls, kind: str, g: Fraction = Fraction(1), m: int = 1):
         if kind not in ("zero", "all", "scaled"):
             raise ValueError(f"unknown descriptor kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
         g = Fraction(g)
         if kind == "scaled":
             if g <= 0:
@@ -107,8 +106,7 @@ class SubgroupDescriptor(Record):
             m = _radical(m)
         else:
             g, m = Fraction(1), 1
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "m", m)
+        return cls._new(kind, g, m)
 
     @classmethod
     def zero(cls) -> "SubgroupDescriptor":
@@ -388,8 +386,8 @@ class WitnessStatus(Record):
 
     __slots__ = ("role", "descriptor", "status", "half_witnesses")
 
-    def __init__(self, role, descriptor, status, half_witnesses=None):
-        super().__init__(role, descriptor, status, {} if half_witnesses is None else half_witnesses)
+    def __new__(cls, role, descriptor, status, half_witnesses=None):
+        return cls._new(role, descriptor, status, {} if half_witnesses is None else half_witnesses)
 
 
 class WeightClassification(Record):

@@ -1,6 +1,7 @@
 """Value semantics of the fourteen record types: equality within one
 class, hash of the field tuple, dataclass-style repr, immutability, and
-keyword and default construction."""
+keyword and default construction; the same values from the trusted
+constructor Cls._new."""
 
 import copy
 import pickle
@@ -82,6 +83,11 @@ HASHABLE = [case for case, name in zip(CASES, IDS) if name != "WitnessStatus"]
 HASHABLE_IDS = [name for name in IDS if name != "WitnessStatus"]
 
 
+def trusted(build, fields):
+    """The record that build() returns, made by its class's _new."""
+    return type(build())._new(*fields.values())
+
+
 def test_every_record_type_is_covered():
     assert len(set(IDS)) == 14
     in_package = {
@@ -105,9 +111,7 @@ def test_equality_is_by_class_and_fields(build, fields, repr_):
     assert a != tuple(fields.values())
     # a record of another class with the very same fields
     twin_class = type(type(a).__name__, (Record,), {"__slots__": type(a).__slots__})
-    twin = object.__new__(twin_class)
-    for name, value in fields.items():
-        object.__setattr__(twin, name, value)
+    twin = twin_class._new(*fields.values())
     assert a != twin and twin != a
     assert repr(twin) == repr_
 
@@ -127,9 +131,17 @@ def test_a_record_equals_itself_without_building_a_key(build, fields, repr_, mon
 
 @pytest.mark.parametrize("build, fields, repr_", HASHABLE, ids=HASHABLE_IDS)
 def test_hash_is_the_hash_of_the_field_tuple(build, fields, repr_):
-    a, b = build(), build()
-    assert hash(a) == hash(b) == hash(tuple(fields.values()))
-    assert len({a, b}) == 1
+    a, b, c = build(), build(), trusted(build, fields)
+    assert hash(a) == hash(b) == hash(c) == hash(tuple(fields.values()))
+    assert len({a, b, c}) == 1
+
+
+@pytest.mark.parametrize("build, fields, repr_", CASES, ids=IDS)
+def test_trusted_constructor_builds_the_checked_value(build, fields, repr_):
+    cls, values = type(build()), tuple(fields.values())
+    r = cls._new(*values)
+    assert type(r) is cls and r == cls(*values) == build()
+    assert repr(r) == repr_ and r._key(r) == values
 
 
 def test_witness_status_is_unhashable_like_its_dict():
@@ -139,22 +151,22 @@ def test_witness_status_is_unhashable_like_its_dict():
 
 @pytest.mark.parametrize("build, fields, repr_", CASES, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(build, fields, repr_):
-    r = build()
-    for name in fields:
+    for r in (build(), trusted(build, fields)):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
         with pytest.raises(AttributeError):
-            setattr(r, name, None)
-        with pytest.raises(AttributeError):
-            delattr(r, name)
-    with pytest.raises(AttributeError):
-        r.extra = 1
-    assert {name: getattr(r, name) for name in fields} == fields
+            r.extra = 1
+        assert {name: getattr(r, name) for name in fields} == fields
 
 
 @pytest.mark.parametrize("build, fields, repr_", CASES, ids=IDS)
 def test_copy_and_pickle_round_trip(build, fields, repr_):
-    r = build()
-    for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-        assert type(other) is type(r) and repr(other) == repr_
+    for r in (build(), trusted(build, fields)):
+        for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(other) is type(r) and other == r and repr(other) == repr_
 
 
 @pytest.mark.parametrize("build, fields, repr_", CASES, ids=IDS)

@@ -2,12 +2,14 @@ import itertools
 import random
 import time
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rackq import _search as se
 from rackq import congruence as cg
+from rackq import laurent as la
 from rackq import tables as tb
 
 
@@ -300,7 +302,7 @@ def _enumerate_racks_reference(n, quandles_only=False, up_to_iso=False):
     search()
     if up_to_iso:
         found = _orbit_representatives_reference(found, n)
-    return [tb.Table._from_rows(rows) for rows in sorted(found)]
+    return [tb.Table._new(rows) for rows in sorted(found)]
 
 
 def _orbit_representatives_reference(found, n):
@@ -374,6 +376,23 @@ def test_relabel_rejects_what_is_not_a_permutation_of_the_elements(p):
     # rack, and a p of the wrong length a bare IndexError
     with pytest.raises(ValueError, match="is not a permutation of 0..2"):
         tb.relabel(tb.dihedral(3), p)
+
+
+@pytest.mark.parametrize("call, prefix", [
+    (lambda: la.LaurentPoly({0: F(10**5000 + 1, 3)}), "term <tuple holding an int "),
+    (lambda: la.parse_laurent("9" * 5000 + "t"), "integer '9999"),
+    (lambda: tb.relabel(tb.trivial(2), (0, 10**5000)), "relabelling <tuple holding an int "),
+    (lambda: cg.Partition.from_blocks([[0], [10**5000]], 2), "blocks do not partition 0..1: <"),
+    (lambda: tb.enumerate_racks(10**5000), "order <int of about 5001 digits> outside"),
+    (lambda: tb.Table([[10**5000]]), "entry <int of about 5001 digits> at row 0"),
+], ids=["LaurentPoly", "parse_laurent", "relabel", "from_blocks", "enumerate_racks", "Table"])
+def test_messages_quote_ints_past_the_int_to_str_limit(call, prefix):
+    # repr of an int of more than 4,300 digits raises its own ValueError
+    # ("Exceeds the limit (4300 digits) ..."), which these used to leak
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(prefix) and len(message) < 1024, message
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def search(r):
             r_ok = right and fill(right_products[i], right_cells, right_done)
             l_ok = left and fill(left_products[i], left_cells, left_done)
             if i + 1 == n:
-                out.append((cg.Partition._from_rgs(tuple(blk)), tb._CLASS_OF[r_ok, l_ok]))
+                out.append((cg.Partition._new(tuple(blk)), tb._CLASS_OF[r_ok, l_ok]))
             else:
                 walk(i + 1, max(top, v), r_ok, l_ok)
             for c in right_done:
