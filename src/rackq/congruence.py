@@ -66,7 +66,7 @@ class Partition(Record):
         elements = [x for b in blocks for x in b]
         if order is None:
             order = len(elements)
-        if sorted(elements) != list(range(order)):
+        if len(elements) != order or sorted(elements) != list(range(order)):
             raise ValueError(f"blocks do not partition 0..{order - 1}: {_quoted(blocks)}")
         labels = [0] * order
         for i, b in enumerate(blocks):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .tables import PRIMARY, INVERSE
+from .tables import PRIMARY, INVERSE, _respects
 
 
 def _every(samples: int, draw, holds) -> bool:
@@ -28,12 +28,6 @@ def _axioms(op, xs, ys, zs) -> list[bool]:
             == op(op(x, z, PRIMARY), op(y, z, PRIMARY), PRIMARY)
             for x, y, z in product(xs, ys, zs)),
     ]
-
-
-def _respects(op, related, quads, side: str) -> bool:
-    """Whether related(a op b, c op d) on the given side for every
-    quadruple (a, b, c, d), each drawn with a related to c and b to d."""
-    return all(related(op(a, b, side), op(c, d, side)) for a, b, c, d in quads)
 
 
 def _agreeing(rng):

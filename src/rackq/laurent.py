@@ -17,9 +17,10 @@ pair of ints.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from operator import neg
 
-from .tables import INVERSE, PRIMARY, Record, _draw, _quoted, side_sign
+from .tables import PRIMARY, Record, _draw, _half_witness, _quoted, side_sign
 
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
@@ -226,12 +227,7 @@ def parity_shift_half_witness(side: str):
     On the inverse side (0, 0, 0, 1) is one: 0 ~ 1, but 0 *' 1 = 1 - t^-1
     is not related to 0 *' 0 = 0, since their difference leaves Z[t].
     """
-    if side_sign(side) == 1:
-        return None
-    if not parity_shift_relation(ZERO, ONE) or parity_shift_relation(
-            ZERO, alexander_op(ZERO, ONE, INVERSE)):
-        raise AssertionError("(0, 0, 0, 1) is no witness for the parity-shift relation")
-    return (ZERO, ZERO, ZERO, ONE)
+    return _half_witness(alexander_op, parity_shift_relation, (ZERO, ZERO, ZERO, ONE), side)
 
 
 def in_common_difference_set(p: LaurentPoly) -> bool:
@@ -326,12 +322,8 @@ def submodule_half_witness(m: PrincipalSubmodule, side: str):
     t^-1 a polynomial.  So (0, 0, g, 0) is a witness: 0 ~ g and 0 ~ 0,
     and the products 0 and t^-1 * g differ by t^-1 * g.
     """
-    if side_sign(side) == 1 or m.ring == LAURENT_RING:
-        return None
-    g = m.generator
-    if not m.contains(g) or m.contains(alexander_op(g, ZERO, INVERSE)):
-        raise AssertionError(f"(0, 0, g, 0) is no witness for {m!r} on the inverse side")
-    return (ZERO, ZERO, g, ZERO)
+    return _half_witness(
+        alexander_op, partial(submodule_relation, m), (ZERO, ZERO, m.generator, ZERO), side)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ class BiSeq(Record):
     __slots__ = ("left_tail", "start", "word", "right_tail")
 
     def __new__(cls, left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
-        if left_tail not in (0, 1) or right_tail not in (0, 1):
+        if not _is_bit(left_tail) or not _is_bit(right_tail):
             raise ValueError("tail bits must be 0 or 1")
+        if type(start) is not int:
+            raise ValueError(f"start must be an int, got {_quoted(start)}")
         word = tuple(word)
-        if any(b not in (0, 1) for b in word):
+        if not all(map(_is_bit, word)):
             raise ValueError("word bits must be 0 or 1")
         return cls._new(*_canonical(left_tail, start, word, right_tail))
 
@@ -54,6 +56,11 @@ class BiSeq(Record):
         if i < self.end:
             return self.word[i - self.start]
         return self.right_tail
+
+
+def _is_bit(b) -> bool:
+    """The int 0 or 1; not a bool or a float."""
+    return type(b) is int and b in (0, 1)
 
 
 def _canonical(left_tail: int, start: int, word: tuple[int, ...], right_tail: int):
@@ -96,34 +103,21 @@ def shift_by(a: BiSeq, k: int) -> BiSeq:
 def agree_nonneg(a: BiSeq, b: BiSeq) -> bool:
     """Whether a_i = b_i for every i >= 0.
 
-    Decidable on this subclass: beyond both words the sequences sit in
-    their right tails, so it is enough to compare the window [0, end)
-    plus the tail bits.  The window is cut at the start and end of both
-    words into segments on which each sequence is a tail bit or a slice
-    of its word, so the cost is O(|a.word| + |b.word|) however far from
-    0 the words lie.
+    That is, whether the sequences that keep those bits and repeat the
+    bit at 0 below 0 are equal, or their canonical fields (_nonneg_fields)
+    are.  O(|a.word| + |b.word|) however far from 0 the words lie.
     """
-    if a.right_tail != b.right_tail:
-        return False
-    a0, b0 = a.start, b.start
-    a1, b1 = a0 + len(a.word), b0 + len(b.word)
-    # The last cut is max(0, a.end, b.end) and 0 is a cut, so no segment
-    # straddles 0.  On each segment a sequence is its left tail bit, its
-    # right tail bit, or a slice of its word.
-    cuts = sorted((0, a0, a1, b0, b1))
-    for lo, up in zip(cuts, cuts[1:]):
-        if lo < 0 or lo == up:
-            continue
-        x = a.left_tail if up <= a0 else a.right_tail if lo >= a1 else a.word[lo - a0:up - a0]
-        y = b.left_tail if up <= b0 else b.right_tail if lo >= b1 else b.word[lo - b0:up - b0]
-        if x == y:
-            continue
-        if isinstance(x, int) == isinstance(y, int):
-            return False
-        bit, bits = (x, y) if isinstance(x, int) else (y, x)
-        if 1 - bit in bits:
-            return False
-    return True
+    return a.right_tail == b.right_tail and _nonneg_fields(a) == _nonneg_fields(b)
+
+
+def _nonneg_fields(a: BiSeq):
+    """Canonical fields of a's bits at indices >= 0 with a's bit at 0
+    repeated below 0: a's own when its word starts past 0, else those of
+    its word cut at 0, whose bit at 0 becomes the left tail."""
+    if a.start > 0:
+        return a.left_tail, a.start, a.word, a.right_tail
+    word = a.word[-a.start:]
+    return _canonical(word[0] if word else a.right_tail, 0, word, a.right_tail)
 
 
 def shift_equivalent(a: BiSeq, b: BiSeq) -> bool:
@@ -199,6 +193,8 @@ class NormalForm(Record):
     def __new__(cls, gen: str, power: int = 0):
         if gen not in ("a", "b", "c"):
             raise ValueError("generator must be 'a', 'b' or 'c'")
+        if type(power) is not int:
+            raise ValueError(f"power must be an int, got {_quoted(power)}")
         if gen == "c" and power != 0:
             raise ValueError("c carries no power")
         return cls._new(gen, power)

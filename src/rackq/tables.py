@@ -237,6 +237,22 @@ _CLASS_OF = {
 }
 
 
+def _respects(op, related, quads, side: str) -> bool:
+    """Whether related(a op b, c op d) on the given side for every
+    quadruple (a, b, c, d), each drawn with a related to c and b to d."""
+    return all(related(op(a, b, side), op(c, d, side)) for a, b, c, d in quads)
+
+
+def _half_witness(op, related, quad, side: str):
+    """quad = (a, b, c, d) when a ~ c and b ~ d but a op b and c op d on
+    the side are not related, by the definition; else None.  ValueError
+    for an unknown side, before anything is computed."""
+    side_sign(side)
+    a, b, c, d = quad
+    fails = related(a, c) and related(b, d) and not _respects(op, related, (quad,), side)
+    return quad if fails else None
+
+
 # ---------------------------------------------------------------------------
 # permutation helpers
 

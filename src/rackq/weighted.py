@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .tables import (
-    _CLASS_OF, PRIMARY, INVERSE, CongruenceClass, Record, _quoted, side_sign,
+    _CLASS_OF, PRIMARY, INVERSE, CongruenceClass, Record, _half_witness, _quoted, side_sign,
 )
 
 
@@ -320,14 +320,11 @@ def find_half_witness(d: SubgroupDescriptor, w: Weight, failing_side: str):
     under t, that is when t*g lies outside D.  Then (0, 0, g, 0) is a
     witness: 0 ~ g and 0 ~ 0, and the products 0 and t*g differ by t*g.
     """
-    t = _side_weight(w, failing_side)  # rejects an unknown side
+    side_sign(failing_side)  # an unknown side is reported before a trivial weight
     _require_nontrivial(w)
-    if d.closed_under(t):
-        return None
-    # Only scaled descriptors fail a side, and they contain g.
-    if not d.contains(d.g) or d.contains(t * d.g):
-        raise AssertionError(f"(0, 0, g, 0) is no witness for {d.describe()} at weight {t}")
-    return (Fraction(0), Fraction(0), d.g, Fraction(0))
+    zero = Fraction(0)
+    return _half_witness(lambda x, y, side: weighted_op(x, y, w, side),
+                         lambda x, y: d.contains(y - x), (zero, zero, d.g, zero), failing_side)
 
 
 def sampled_congruence_check(
@@ -431,6 +428,9 @@ def classify_weight(w: Weight) -> WeightClassification:
 
 def _half_witnesses(d: SubgroupDescriptor, w: Weight) -> dict:
     """{side: find_half_witness quadruple} for each side the coset
-    relation of d fails."""
-    quads = {side: find_half_witness(d, w, side) for side in (PRIMARY, INVERSE)}
-    return {side: quad for side, quad in quads.items() if quad is not None}
+    relation of d fails.  AssertionError unless those sides are exactly
+    the failing sides of coset_congruence_status."""
+    found = {side: quad for side in (PRIMARY, INVERSE) if (quad := find_half_witness(d, w, side))}
+    if _CLASS_OF[PRIMARY not in found, INVERSE not in found] is not coset_congruence_status(d, w):
+        raise AssertionError(f"half witnesses of {d.describe()} contradict its status at {w.value}")
+    return found

@@ -34,6 +34,16 @@ def test_partition_from_blocks():
         cg.Partition.from_blocks([[0], [2]], order=3)
 
 
+def test_an_order_past_the_blocks_is_refused_before_any_range_is_built():
+    # list(range(order)) overflows past sys.maxsize and would not fit in
+    # memory below it; the element count decides first
+    for order in (10**20, 10**18, 3):
+        with pytest.raises(ValueError, match=rf"do not partition 0\.\.{order - 1}: "):
+            cg.Partition.from_blocks([[0], [1]], order)
+        with pytest.raises(ValueError, match=rf"do not partition 0\.\.{order - 1}: "):
+            cg.parse_partition("0|1", order)
+
+
 def test_partition_counts_are_bell_numbers():
     assert [len(list(cg.partitions(n))) for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 15, 52]
 
@@ -584,3 +594,21 @@ def test_homomorphic_matches_a_double_loop(case):
         f[rows[x][y]] == target[f[x]][f[y]] for f in maps for x in range(n) for y in range(n)
     )
     assert tb._homomorphic(rows, target, maps) == expected
+
+
+def test_every_induced_table_conflict_is_a_half_witness_by_the_definition():
+    # every conflict try_induced_table reports on the partitions of every
+    # rack of order <= 4 passes the one checker of a witness quadruple
+    conflicts = 0
+    for n in (1, 2, 3, 4):
+        for r in tb.enumerate_racks(n):
+            def op(x, y, side, rows=r.rows):
+                assert side == tb.PRIMARY
+                return rows[x][y]
+
+            for p in cg.partitions(n):
+                quad = cg.try_induced_table(r, p)[1]
+                if quad is not None:
+                    assert tb._half_witness(op, p.together, quad, tb.PRIMARY) == quad
+                    conflicts += 1
+    assert conflicts > 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rackq import laurent as la
+from rackq import tables as tb
 from rackq.laurent import LaurentPoly, ONE, T, T_INV, ZERO
 from rackq.tables import PRIMARY, INVERSE
 
@@ -464,10 +465,14 @@ def test_closed_form_witnesses_are_the_first_quadruples_the_searches_found():
                 assert (found is None) == (side == PRIMARY or ring == la.LAURENT_RING)
     for side in (PRIMARY, INVERSE):
         assert la.parity_shift_half_witness(side) == _parity_shift_search(side)
-    assert la.parity_shift_half_witness(INVERSE) == (ZERO, ZERO, ZERO, ONE)
+    quad = la.parity_shift_half_witness(INVERSE)
+    assert quad == (ZERO, ZERO, ZERO, ONE)
+    assert tb._half_witness(la.alexander_op, la.parity_shift_relation, quad, INVERSE) == quad
 
 
 def test_submodule_half_witness_holds_for_every_generator_on_a_grid():
+    # the ring rule the builder once decided by, kept as the reference:
+    # only the inverse side over Z[t] fails
     op, checked = la.alexander_op, 0
     for coeffs in itertools.product(range(-2, 3), repeat=5):
         gen = lp(dict(zip(range(-2, 3), coeffs)))
@@ -478,6 +483,8 @@ def test_submodule_half_witness_holds_for_every_generator_on_a_grid():
         assert (a, b, c, d) == (ZERO, ZERO, gen, ZERO)
         assert la.submodule_relation(poly, a, c) and la.submodule_relation(poly, b, d)
         assert not la.submodule_relation(poly, op(a, b, INVERSE), op(c, d, INVERSE))
+        related = lambda f, g: la.submodule_relation(poly, f, g)  # noqa: E731
+        assert tb._half_witness(op, related, (a, b, c, d), INVERSE) == (a, b, c, d)
         assert la.submodule_half_witness(poly, PRIMARY) is None
         laurent = la.PrincipalSubmodule(gen, la.LAURENT_RING)
         for side in (PRIMARY, INVERSE):

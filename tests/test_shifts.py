@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -56,6 +57,21 @@ def test_bit_validation():
         BiSeq(2, 0, (), 0)
     with pytest.raises(ValueError):
         BiSeq(0, 0, (0, 5), 1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((0, 1.5, (1,), 0), "start must be an int, got 1.5"),
+    ((0, True, (1,), 0), "start must be an int, got True"),
+    ((0, "0", (1,), 0), "start must be an int, got '0'"),
+    ((True, 0, (1,), 0), "tail bits must be 0 or 1"),
+    ((0, 0, (1,), 1.0), "tail bits must be 0 or 1"),
+    # a bool bit would print as "True" and not parse back
+    ((0, 0, (True, 0, 1), 0), "word bits must be 0 or 1"),
+    ((0, 0, (1, 0.0), 1), "word bits must be 0 or 1"),
+])
+def test_fields_must_be_ints_not_bools_or_floats(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BiSeq(*fields)
 
 
 def reference_canonical(left, start, word, right):
@@ -169,6 +185,26 @@ def test_agree_nonneg_matches_direct_window_comparison(raw_a, raw_b):
     a, b = BiSeq(*raw_a), BiSeq(*raw_b)
     window = range(0, max(a.end, b.end, 0) + 3)
     assert sh.agree_nonneg(a, b) == all(a.bit_at(i) == b.bit_at(i) for i in window)
+
+
+def _box():
+    """Every canonical sequence with a word of length <= 3 starting in
+    [-3, 3], and both tails."""
+    words = [w for k in range(4) for w in itertools.product((0, 1), repeat=k)]
+    raw = itertools.product((0, 1), range(-3, 4), words, (0, 1))
+    seqs = set(itertools.starmap(BiSeq, raw))
+    return sorted((s for s in seqs if len(s.word) <= 3 and -3 <= s.start <= 3), key=BiSeq._key)
+
+
+def test_agree_nonneg_matches_the_bit_window_on_every_pair_of_a_box():
+    # around 0: a word that starts past, at or before it, a left tail
+    # that differs from the bit at 0, words that end before 0
+    box = _box()
+    assert len(box) == 114
+    window = range(0, 8)  # past every word end: the right tails
+    bits = {s: tuple(map(s.bit_at, window)) for s in box}
+    for a, b in itertools.product(box, repeat=2):
+        assert sh.agree_nonneg(a, b) == (bits[a] == bits[b]), (a, b)
 
 
 def test_agree_nonneg_on_far_off_words_is_fast():
@@ -353,6 +389,11 @@ def test_normal_form_validation():
         sh.NormalForm("d", 0)
     with pytest.raises(ValueError):
         sh.NormalForm("c", 1)
+    for power in (1.5, True, 0.0):
+        with pytest.raises(ValueError, match="^power must be an int, got "):
+            sh.NormalForm("a", power)
+    with pytest.raises(ValueError, match="^power must be an int, got 0.0$"):
+        sh.NormalForm("c", 0.0)
 
 
 def _window(limit):

@@ -963,6 +963,9 @@ def _side_callers():
         "alexander_op": lambda side: la.alexander_op(la.ONE, la.T, side),
         "_side_weight": lambda side: wa._side_weight(w, side),
         "find_half_witness": lambda side: wa.find_half_witness(d, w, side),
+        "submodule_half_witness":
+            lambda side: la.submodule_half_witness(la.PrincipalSubmodule(la.T - la.ONE), side),
+        "parity_shift_half_witness": lambda side: la.parity_shift_half_witness(side),
     }
 
 
@@ -974,3 +977,33 @@ def test_every_operation_rejects_an_unknown_side_with_one_message(name):
         call("left")
     assert str(info.value) == "side must be 'primary' or 'inverse'"
     assert tb.side_sign(tb.PRIMARY) == 1 and tb.side_sign(tb.INVERSE) == -1
+
+
+# ---------------------------------------------------------------------------
+# the one half-witness checker
+
+def test_half_witness_checks_a_quadruple_by_the_definition():
+    # on the integers mod 4 with x * y = x + 1 and x *' y = x - 1: "same
+    # parity" respects both sides, the blocks {0}, {1}, {2, 3} neither
+    def op(x, y, side):
+        return (x + tb.side_sign(side)) % 4
+
+    parity = lambda x, y: (x - y) % 2 == 0  # noqa: E731
+    blocks = lambda x, y: x == y or min(x, y) > 1  # noqa: E731
+    for side in (tb.PRIMARY, tb.INVERSE):
+        assert tb._half_witness(op, parity, (0, 0, 2, 0), side) is None
+        assert tb._respects(op, parity, [(0, 1, 2, 3), (1, 1, 3, 3)], side)
+        # a and c, or b and d, unrelated
+        assert tb._half_witness(op, blocks, (0, 0, 1, 0), side) is None
+        assert tb._half_witness(op, blocks, (2, 0, 3, 1), side) is None
+        assert tb._half_witness(op, blocks, (2, 0, 2, 0), side) is None  # one product
+        # 3 and 0 on the primary side, 1 and 2 on the inverse one
+        assert tb._half_witness(op, blocks, (2, 0, 3, 0), side) == (2, 0, 3, 0)
+
+
+def test_half_witness_rejects_an_unknown_side_before_calling_anything():
+    def fail(*args):
+        raise AssertionError("called")
+
+    with pytest.raises(ValueError, match="^side must be 'primary' or 'inverse'$"):
+        tb._half_witness(fail, fail, (0, 0, 0, 0), "left")

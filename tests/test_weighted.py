@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rackq import tables as tb
 from rackq import weighted as wa
 from rackq.congruence import CongruenceClass as CC
 from rackq.tables import PRIMARY, INVERSE
@@ -178,24 +179,55 @@ def test_half_witness_checks_the_side_before_the_weight():
         wa.find_half_witness(Z, wa.Weight(F(1)), PRIMARY)
 
 
+def _weighted(w):
+    return lambda x, y, side: wa.weighted_op(x, y, w, side)
+
+
+def _coset(d):
+    return lambda x, y: d.contains(y - x)
+
+
 def test_half_witness_is_always_verified():
-    for d in GRID_DESCRIPTORS:
-        for w in GRID_WEIGHTS:
+    for d in GRID_DESCRIPTORS + REFERENCE_DESCRIPTORS:
+        for w in GRID_WEIGHTS + REFERENCE_WEIGHTS:
             status = wa.coset_congruence_status(d, w)
             failing = {
                 PRIMARY: status in (CC.LEFT_ONLY, CC.NEITHER),
                 INVERSE: status in (CC.RIGHT_ONLY, CC.NEITHER),
             }
-            for side in (PRIMARY, INVERSE):
+            for side, t in ((PRIMARY, w.value), (INVERSE, w.inverse)):
                 quad = wa.find_half_witness(d, w, side)
                 assert (quad is not None) == failing[side]
+                # the closed_under rule the builder once decided by, kept
+                # as the reference
+                assert quad == (None if d.closed_under(t) else (0, 0, d.g, 0))
                 if quad is not None:
-                    assert quad == (0, 0, d.g, 0)
                     assert all(type(v) is Fraction for v in quad)
                     a, b, c, e = quad
                     assert d.contains(c - a) and d.contains(e - b)
                     gap = wa.weighted_op(c, e, w, side) - wa.weighted_op(a, b, w, side)
                     assert not d.contains(gap)
+                    assert tb._half_witness(_weighted(w), _coset(d), quad, side) == quad
+
+
+def test_classification_witnesses_pass_the_definition_on_the_weight_and_role_grid():
+    for w in GRID_WEIGHTS + REFERENCE_WEIGHTS:
+        for ws in wa.classify_weight(w).witnesses:
+            d = ws.descriptor
+            failing = {side for side, t in ((PRIMARY, w.value), (INVERSE, w.inverse))
+                       if not d.closed_under(t)}
+            assert set(ws.half_witnesses) == failing, (w, ws.role)
+            for side, quad in ws.half_witnesses.items():
+                assert tb._half_witness(_weighted(w), _coset(d), quad, side) == quad
+
+
+def test_half_witnesses_that_contradict_the_status_are_refused(monkeypatch):
+    # a builder that misses a failing side would break the "verified"
+    # contract of WitnessStatus; the one check in _half_witnesses stops it
+    monkeypatch.setattr(wa, "find_half_witness", lambda d, w, side: None)
+    with pytest.raises(AssertionError, match="contradict its status"):
+        wa._half_witnesses(Z, wa.Weight(F(2, 3)))
+    assert wa._half_witnesses(Z6, wa.Weight(F(2, 3))) == {}
 
 
 # ---------------------------------------------------------------------------
