@@ -195,13 +195,16 @@ def _parse_weight(text: str):
     return wa.Weight(value)
 
 
-def _coset_json(w, desc, status, halves, args, failures, suffix=""):
-    """The classification of the coset relation of desc, its half
-    witnesses, and the sampled congruence check of each side that has no
-    half witness; a failed check is added to failures."""
+def _coset_json(w, ws, args, failures):
+    """The classification of the coset relation of the WitnessStatus ws,
+    its half witnesses, and the sampled congruence check of each side
+    that has no half witness; a failed check is added to failures, naming
+    the descriptor when ws has a role."""
     from . import weighted as wa
 
-    out = {"descriptor": desc.describe(), "status": status.value}
+    desc, halves = ws.descriptor, ws.half_witnesses
+    suffix = f" for {desc.describe()}" if ws.role else ""
+    out = {"descriptor": desc.describe(), "status": ws.status.value}
     if halves:
         out["half_witness"] = {side: [str(v) for v in quad] for side, quad in halves.items()}
     if args.samples > 0:
@@ -222,17 +225,15 @@ def cmd_classify_tau(args):
     w = _parse_weight(args.tau)
     failures = []
     if args.subgroup is not None:
-        desc = wa.parse_descriptor(args.subgroup)
-        status = wa.coset_congruence_status(desc, w)
-        payload = _coset_json(w, desc, status, wa._half_witnesses(desc, w), args, failures)
+        ws = wa._witness_status(None, wa.parse_descriptor(args.subgroup), w)
+        payload = _coset_json(w, ws, args, failures)
     else:
         result = wa.classify_weight(w)
         payload = {
             "case": result.case,
             "explanation": result.explanation,
             "witnesses": [
-                {"role": ws.role, **_coset_json(w, ws.descriptor, ws.status, ws.half_witnesses,
-                                                args, failures, f" for {ws.descriptor.describe()}")}
+                {"role": ws.role, **_coset_json(w, ws, args, failures)}
                 for ws in result.witnesses
             ],
         }

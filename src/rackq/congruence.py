@@ -308,7 +308,7 @@ class FiniteMap(Record):
 def all_maps(domain_order: int, codomain_order: int):
     """Every function between the index sets (codomain_order ** domain_order)."""
     for image in itertools.product(range(codomain_order), repeat=domain_order):
-        yield FiniteMap(domain_order, codomain_order, image)
+        yield FiniteMap._new(domain_order, codomain_order, image)
 
 
 def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
@@ -350,22 +350,14 @@ def first_isomorphism_check(f: FiniteMap, r: Table, s: Table) -> bool:
 
 def _first_isomorphism(f: FiniteMap, r: Table, s: Table, ker: Partition) -> bool:
     """first_isomorphism_check for an f already known to be a
-    homomorphism, whose kernel is ker."""
+    homomorphism, whose kernel is ker: the induced map psi([x]) = f(x),
+    read off the least member of each block, agrees with f on every x,
+    is one-to-one, and is a homomorphism from the quotient into s, so an
+    isomorphism onto the image of f."""
     q = quotient(r, ker)
-    image = sorted(set(f.image))
-    pos = {e: i for i, e in enumerate(image)}
-    # The image is closed under *; a finite set closed under * is closed
-    # under *' as well (each column maps it one-to-one into itself, so
-    # onto it), so it is a subrack.
-    assert all(s.rows[a][b] in pos for a in image for b in image)
-    img_rows = tuple(tuple(pos[s.rows[a][b]] for b in image) for a in image)
-    # induced map: block of x -> position of f(x); well defined by kernel
-    psi = [None] * q.table.order
-    for x in range(r.order):
-        b = ker.block_of[x]
-        v = pos[f.image[x]]
-        assert psi[b] in (None, v)
-        psi[b] = v
-    if sorted(psi) != list(range(len(image))):
-        return False
-    return _homomorphic(q.table.rows, img_rows, (psi,))
+    psi = tuple(f.image[b[0]] for b in q.blocks)
+    return (
+        all(psi[b] == v for b, v in zip(ker.block_of, f.image))
+        and len(set(psi)) == len(psi)
+        and _homomorphic(q.table.rows, s.rows, (psi,))
+    )

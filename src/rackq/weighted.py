@@ -419,18 +419,17 @@ def classify_weight(w: Weight) -> WeightClassification:
         ("numerator", SubgroupDescriptor.scaled(1, abs(p))),
         ("combined", SubgroupDescriptor.scaled(1, abs(p) * q)),
     )
-    witnesses = tuple(
-        WitnessStatus(role, desc, coset_congruence_status(desc, w), _half_witnesses(desc, w))
-        for role, desc in named
-    )
+    witnesses = tuple(_witness_status(role, desc, w) for role, desc in named)
     return WeightClassification(case, _CASE_EXPLANATIONS[case], witnesses)
 
 
-def _half_witnesses(d: SubgroupDescriptor, w: Weight) -> dict:
-    """{side: find_half_witness quadruple} for each side the coset
-    relation of d fails.  AssertionError unless those sides are exactly
-    the failing sides of coset_congruence_status."""
+def _witness_status(role, d: SubgroupDescriptor, w: Weight) -> WitnessStatus:
+    """The record of the coset relation of d: its coset_congruence_status
+    and the find_half_witness quadruple of each failing side.
+    AssertionError unless the sides with a witness are exactly the
+    failing sides of the status."""
+    status = coset_congruence_status(d, w)
     found = {side: quad for side in (PRIMARY, INVERSE) if (quad := find_half_witness(d, w, side))}
-    if _CLASS_OF[PRIMARY not in found, INVERSE not in found] is not coset_congruence_status(d, w):
+    if _CLASS_OF[PRIMARY not in found, INVERSE not in found] is not status:
         raise AssertionError(f"half witnesses of {d.describe()} contradict its status at {w.value}")
-    return found
+    return WitnessStatus(role, d, status, found)

@@ -158,17 +158,26 @@ def test_criterion_7_closure_lemma_grid():
 
 
 def test_criterion_8_first_isomorphism_theorem():
-    racks = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n)]
-    homs = 0
-    for r in racks:
-        for s in racks:
-            for f in cg.find_homomorphisms(r, s):
-                assert cg.first_isomorphism_check(f, r, s)
-                assert cg.classify_relation(r, cg.kernel_partition(f, r, s)) is CC.BOTH
-                homs += 1
+    # every labelled rack of order <= 3, and one rack of each class of
+    # order <= 4
+    labelled = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n)]
+    classes = [t for n in (1, 2, 3, 4) for t in tb.enumerate_racks(n, up_to_iso=True)]
+    assert (len(labelled) ** 2, len(classes) ** 2) == (256, 784)
+    counts = []
+    for racks in (labelled, classes):
+        homs = 0
+        for r in racks:
+            for s in racks:
+                for f in cg.find_homomorphisms(r, s):
+                    assert cg.first_isomorphism_check(f, r, s)
+                    assert cg.classify_relation(r, cg.kernel_partition(f, r, s)) is CC.BOTH
+                    homs += 1
+        counts.append(homs)
+    assert counts[1] == 4834
     print(f"ACCEPTANCE 8 PASS: first isomorphism theorem and kernel "
-          f"classification for {homs} homomorphisms over {len(racks)}^2 "
-          f"ordered rack pairs of order <= 3")
+          f"classification for {counts[0]} homomorphisms over {len(labelled)}^2 "
+          f"ordered pairs of labelled racks of order <= 3, and {counts[1]} over "
+          f"{len(classes)}^2 ordered pairs of rack classes of order <= 4")
 
 
 def test_criterion_9_alexander_example():

@@ -517,6 +517,26 @@ def test_iso_check_runs_each_check_once(rack_file, capsys, monkeypatch):
     assert calls == {"is_homomorphism": 1, "_inverse_rows": 0, "_homomorphic": 1}
 
 
+def test_classify_tau_subgroup_reads_the_record_of_the_classification(capsys, monkeypatch):
+    # --subgroup D reports the record classify_weight builds for D, with
+    # one coset_congruence_status call, as each role of the full
+    # classification does
+    from rackq import weighted as wa
+
+    calls = _count_calls(monkeypatch, (wa, "coset_congruence_status"))
+    for weight in ("-1", "1/2", "2", "2/3"):
+        calls["coset_congruence_status"] = 0
+        code, doc = run(capsys, "classify-tau", weight, "--samples", "50")
+        assert code == 0 and calls == {"coset_congruence_status": 4}
+        for entry in doc["payload"]["witnesses"]:
+            calls["coset_congruence_status"] = 0
+            code, single = run(capsys, "classify-tau", weight, "--subgroup", entry["descriptor"],
+                               "--samples", "50")
+            assert code == 0 and calls == {"coset_congruence_status": 1}
+            del single["payload"]["tau"], entry["role"]
+            assert single["payload"] == entry, (weight, entry["descriptor"])
+
+
 @pytest.mark.parametrize("argv", [
     ["congruences", "{d6}"],
     ["congruences", "{d6}", "--partition", "0,3|1,4|2,5"],

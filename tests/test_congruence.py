@@ -468,6 +468,17 @@ def test_first_isomorphism_examples():
     assert cg.first_isomorphism_check(cg.FiniteMap(3, 1, (0, 0, 0)), D3, tb.trivial(1))
 
 
+def test_each_check_of_the_induced_map_can_fail():
+    # given a full congruence that is not the kernel of f, the induced
+    # map disagrees with f, or is not one-to-one, or (f not being a
+    # homomorphism) is not a homomorphism
+    one_block, singletons = cg.Partition((0, 0, 0, 0)), cg.Partition((0, 1, 2, 3))
+    assert not cg._first_isomorphism(MOD2, D4, T2, one_block)
+    assert not cg._first_isomorphism(MOD2, D4, T2, singletons)
+    identity = cg.FiniteMap(3, 3, (0, 1, 2))
+    assert not cg._first_isomorphism(identity, D3, tb.trivial(3), cg.Partition((0, 1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # the homomorphism kernel against the index loops it replaced
 
@@ -524,6 +535,7 @@ def _outcome(check, *args):
 
 
 SMALL_RACKS = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n)]
+RACK_CLASSES = [t for n in (1, 2, 3, 4) for t in tb.enumerate_racks(n, up_to_iso=True)]
 
 
 def test_homomorphism_kernel_matches_index_loops_between_small_racks():
@@ -535,6 +547,17 @@ def test_homomorphism_kernel_matches_index_loops_between_small_racks():
                 assert hom == _is_homomorphism_reference(f, r, s)
                 if hom:
                     assert cg.first_isomorphism_check(f, r, s) == _first_isomorphism_reference(f, r, s)
+
+
+def test_first_isomorphism_matches_the_index_loop_between_rack_classes_of_order_at_most_4():
+    assert len(RACK_CLASSES) ** 2 == 784
+    homs = 0
+    for r in RACK_CLASSES:
+        for s in RACK_CLASSES:
+            for f in cg.find_homomorphisms(r, s):
+                assert cg.first_isomorphism_check(f, r, s) == _first_isomorphism_reference(f, r, s)
+                homs += 1
+    assert homs == 4834
 
 
 def test_homomorphism_kernel_matches_index_loops_from_magmas():

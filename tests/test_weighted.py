@@ -223,11 +223,11 @@ def test_classification_witnesses_pass_the_definition_on_the_weight_and_role_gri
 
 def test_half_witnesses_that_contradict_the_status_are_refused(monkeypatch):
     # a builder that misses a failing side would break the "verified"
-    # contract of WitnessStatus; the one check in _half_witnesses stops it
+    # contract of WitnessStatus; the one check in _witness_status stops it
     monkeypatch.setattr(wa, "find_half_witness", lambda d, w, side: None)
     with pytest.raises(AssertionError, match="contradict its status"):
-        wa._half_witnesses(Z, wa.Weight(F(2, 3)))
-    assert wa._half_witnesses(Z6, wa.Weight(F(2, 3))) == {}
+        wa._witness_status("integers", Z, wa.Weight(F(2, 3)))
+    assert wa._witness_status("combined", Z6, wa.Weight(F(2, 3))).half_witnesses == {}
 
 
 # ---------------------------------------------------------------------------
