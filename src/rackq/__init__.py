@@ -20,7 +20,7 @@ _EXPORTS = {
         "CongruenceClass", "NotACongruenceError", "Partition", "QuotientRack",
         "FiniteMap", "partitions", "parse_partition", "format_partition",
         "classify_relation", "quotient", "try_induced_table", "enumerate_congruences",
-        "congruences_report", "is_subrack", "all_maps",
+        "congruences_report", "is_subrack",
         "is_homomorphism", "find_homomorphisms", "kernel_partition",
         "first_isomorphism_check",
     ),

@@ -251,11 +251,6 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"order {_quoted(n)} outside supported range 1..{MAX_ENUM_ORDER}")
-    return _enumerate_racks(n, quandles_only, up_to_iso)
-
-
-def _enumerate_racks(n: int, quandles_only: bool, up_to_iso: bool) -> list[Table]:
-    """enumerate_racks without the order cap."""
     perms = list(itertools.permutations(range(n)))
     found = _rack_columns(perms, quandles_only, up_to_iso)
     # Each index tuple becomes its rows in place once the composition table

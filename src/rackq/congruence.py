@@ -14,8 +14,6 @@ the README), so * alone decides every classification here.
 
 from __future__ import annotations
 
-import itertools
-
 # CongruenceClass and _CLASS_OF live in tables, so that weighted can use
 # them without this module
 from .tables import (
@@ -29,8 +27,8 @@ MAX_CONGRUENCE_ORDER = 8
 
 class NotACongruenceError(ValueError):
     """Raised when a quotient is requested for a non-congruence; carries
-    the classification so callers can tell a half congruence apart from
-    a relation respecting neither operation."""
+    the classification, which on a finite rack is always Neither, since
+    a partition respects * exactly when it respects *'."""
 
     def __init__(self, classification: CongruenceClass):
         super().__init__(f"not a full rack congruence: {classification.value}")
@@ -204,7 +202,8 @@ def quotient(r: Table, p: Partition) -> QuotientRack:
 def _products_by_last(rows):
     """The products (x, y, x*y) of raw table rows, grouped by
     max(x, y, x*y): the element whose block completes the cell
-    [x] * [y] = [x*y] of the block operation."""
+    [x] * [y] = [x*y] of the block operation, or whose image completes
+    f(x*y) = f(x)*f(y) for a map f."""
     groups = [[] for _ in rows]
     for x, row in enumerate(rows):
         for y, xy in enumerate(row):
@@ -297,18 +296,15 @@ class FiniteMap(Record):
         image = tuple(image)
         if len(image) != domain_order:
             raise ValueError("image length != domain order")
+        for v in image:
+            if type(v) is not int:
+                raise ValueError(f"image entry {_quoted(v)} is not an int")
         if any(not 0 <= v < codomain_order for v in image):
             raise ValueError("image entry outside codomain")
         return cls._new(domain_order, codomain_order, image)
 
     def __call__(self, x: int) -> int:
         return self.image[x]
-
-
-def all_maps(domain_order: int, codomain_order: int):
-    """Every function between the index sets (codomain_order ** domain_order)."""
-    for image in itertools.product(range(codomain_order), repeat=domain_order):
-        yield FiniteMap._new(domain_order, codomain_order, image)
 
 
 def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
@@ -328,11 +324,17 @@ def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
 
 
 def find_homomorphisms(r: Table, s: Table) -> list[FiniteMap]:
-    """Exhaustive homomorphism search (use only for small domain orders);
-    ValueError unless both tables are right invertible."""
+    """Every homomorphism, in lexicographic order of images; ValueError
+    unless both tables are right invertible.  Image prefixes grow breadth
+    first; once element i has its image, the products of r completed at i
+    (_products_by_last) are checked, and a prefix that fails is dropped."""
     _permutation_columns(r.rows)
     _permutation_columns(s.rows)
-    return [f for f in all_maps(r.order, s.order) if _homomorphic(r.rows, s.rows, (f.image,))]
+    target, prefixes = s.rows, [()]
+    for completed in _products_by_last(r.rows):
+        prefixes = [f for g in prefixes for v in range(s.order) for f in [g + (v,)]
+                    if all(f[xy] == target[f[x]][f[y]] for x, y, xy in completed)]
+    return [FiniteMap._new(r.order, s.order, f) for f in prefixes]
 
 
 def kernel_partition(f: FiniteMap, r: Table, s: Table) -> Partition:

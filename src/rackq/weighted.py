@@ -286,13 +286,13 @@ def _rational_sampler(bits):
 
 def weighted_op(x, y, w: Weight, side: str = PRIMARY) -> Fraction:
     """w*x + (1-w)*y, or the same with 1/w on the inverse side."""
-    t = _side_weight(w, side)
-    return t * Fraction(x) + (1 - t) * Fraction(y)
+    y = Fraction(y)
+    return y + _side_weight(w, side) * (x - y)
 
 
 def _side_weight(w: Weight, side: str) -> Fraction:
     """The t of t*x + (1-t)*y on the given side: w, or 1/w."""
-    return w.value ** side_sign(side)
+    return w.value if side_sign(side) == 1 else 1 / w.value
 
 
 def _require_nontrivial(w: Weight) -> None:

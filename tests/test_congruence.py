@@ -1,4 +1,7 @@
 import itertools
+import re
+import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,6 +418,18 @@ def test_finite_map_validation():
         cg.FiniteMap(2, 2, (0, 2))
 
 
+@pytest.mark.parametrize("entry, quoted", [
+    (2.0, "2.0"), ("2", "'2'"), (True, "True"), (None, "None"), (F(2), "Fraction(2, 1)"),
+    ("x" * 50, repr("x" * 40) + "... (50 characters)"),
+    (F(10**5000 + 1, 3), "<Fraction holding an int too long to print>"),
+])
+def test_finite_map_rejects_an_image_entry_that_is_not_an_int(entry, quoted):
+    # a float or a str used to be stored, and the homomorphism test then
+    # raised TypeError; a bool was taken as 0 or 1
+    with pytest.raises(ValueError, match=re.escape(f"image entry {quoted} is not an int")):
+        cg.FiniteMap(3, 3, (0, 1, entry))
+
+
 def test_homomorphism_examples():
     ident = cg.FiniteMap(3, 3, (0, 1, 2))
     assert cg.is_homomorphism(ident, D3, D3)
@@ -480,7 +495,19 @@ def test_each_check_of_the_induced_map_can_fail():
 
 
 # ---------------------------------------------------------------------------
-# the homomorphism kernel against the index loops it replaced
+# the homomorphism kernel against the index loops it replaced, and the
+# homomorphism search against the brute force it replaced
+
+def _all_maps(domain_order, codomain_order):
+    """Every function between the index sets (codomain_order ** domain_order)."""
+    for image in itertools.product(range(codomain_order), repeat=domain_order):
+        yield cg.FiniteMap(domain_order, codomain_order, image)
+
+
+def _find_homomorphisms_reference(r, s):
+    """Every map of _all_maps that passes is_homomorphism, in order."""
+    return [f for f in _all_maps(r.order, s.order) if cg.is_homomorphism(f, r, s)]
+
 
 def _is_homomorphism_reference(f, r, s):
     if f.domain_order != r.order or f.codomain_order != s.order:
@@ -542,11 +569,37 @@ def test_homomorphism_kernel_matches_index_loops_between_small_racks():
     assert len(SMALL_RACKS) ** 2 == 256
     for r in SMALL_RACKS:
         for s in SMALL_RACKS:
-            for f in cg.all_maps(r.order, s.order):
+            for f in _all_maps(r.order, s.order):
                 hom = cg.is_homomorphism(f, r, s)
                 assert hom == _is_homomorphism_reference(f, r, s)
                 if hom:
                     assert cg.first_isomorphism_check(f, r, s) == _first_isomorphism_reference(f, r, s)
+
+
+@pytest.mark.parametrize("racks, pairs, homs", [(SMALL_RACKS, 256, 658), (RACK_CLASSES, 784, 4834)])
+def test_homomorphism_search_matches_the_brute_force(racks, pairs, homs):
+    # every labelled pair of order <= 3 and every class pair of order <= 4:
+    # the same maps in the same order
+    assert len(racks) ** 2 == pairs
+    found = 0
+    for r in racks:
+        for s in racks:
+            maps = cg.find_homomorphisms(r, s)
+            assert maps == _find_homomorphisms_reference(r, s)
+            found += len(maps)
+    assert found == homs
+
+
+def test_endomorphisms_of_dihedral_7_within_a_time_budget():
+    # the brute force tries 7^7 maps, about 1.7 s on a 2-vCPU VM; the
+    # search about 1.4 ms
+    d7 = tb.dihedral(7)
+    start = time.perf_counter()
+    maps = cg.find_homomorphisms(d7, d7)
+    assert time.perf_counter() - start < 1
+    # x -> a*x + b mod 7, a != 0, and the 7 constant maps
+    affine = {tuple((a * x + b) % 7 for x in range(7)) for a in range(7) for b in range(7)}
+    assert len(maps) == 49 and {f.image for f in maps} == affine
 
 
 def test_first_isomorphism_matches_the_index_loop_between_rack_classes_of_order_at_most_4():
@@ -566,11 +619,14 @@ def test_homomorphism_kernel_matches_index_loops_from_magmas():
     calls = 0
     for m in magmas:
         for s in SMALL_RACKS:
-            for f in cg.all_maps(3, s.order):
-                assert _outcome(cg.is_homomorphism, f, m, s) == _outcome(
-                    _is_homomorphism_reference, f, m, s
-                )
+            homs = []
+            for f in _all_maps(3, s.order):
+                got = _outcome(cg.is_homomorphism, f, m, s)
+                assert got == _outcome(_is_homomorphism_reference, f, m, s)
+                homs += [f] if got is True else []
                 calls += 1
+            # the search needs only permutation columns, not a rack domain
+            assert cg.find_homomorphisms(m, s) == homs
     assert calls == 79488
     # a table with a column that is not a permutation is refused whatever
     # the map, and by the search before it tries one
@@ -581,7 +637,7 @@ def test_homomorphism_kernel_matches_index_loops_from_magmas():
         for s in order2:
             both = r in invertible and s in invertible
             homs = []
-            for f in cg.all_maps(2, 2):
+            for f in _all_maps(2, 2):
                 got = _outcome(cg.is_homomorphism, f, r, s)
                 assert got == _outcome(_is_homomorphism_reference, f, r, s)
                 assert isinstance(got, tuple) != both

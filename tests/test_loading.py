@@ -28,7 +28,7 @@ EXPORTED = {
         "CongruenceClass", "NotACongruenceError", "Partition", "QuotientRack",
         "FiniteMap", "partitions", "parse_partition", "format_partition",
         "classify_relation", "quotient", "try_induced_table", "enumerate_congruences",
-        "congruences_report", "is_subrack", "all_maps",
+        "congruences_report", "is_subrack",
         "is_homomorphism", "find_homomorphisms", "kernel_partition",
         "first_isomorphism_check",
     ],
@@ -160,7 +160,7 @@ def test_tables_forwards_only_the_public_search_names():
     from rackq import _search, tables
 
     assert tables._SEARCH == {"canonical_form", "enumerate_racks"}
-    for name in ("_canonical_rows", "_enumerate_racks", "_composition_table", "_rack_columns",
+    for name in ("_canonical_rows", "_composition_table", "_rack_columns",
                  "_twin_classes", "_take_least_label", "_place_cell", "_same_orbit"):
         assert callable(getattr(_search, name))
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
@@ -216,6 +216,9 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         rackq.not_a_name
     assert not hasattr(rackq, "Record")
+    # the brute-force map list is a test reference now, not an export
+    with pytest.raises(AttributeError, match="no attribute 'all_maps'"):
+        rackq.all_maps
     with pytest.raises(ImportError):
         exec("from rackq import not_a_name", {})
 

@@ -345,11 +345,12 @@ def test_composition_table_matches_the_entry_by_entry_reference(n):
 
 def test_uncapped_search_gives_the_published_order_6_counts():
     # Vojtechovsky and Yang, Enumeration of racks and quandles up to
-    # isomorphism (Math. Comp. 2019)
+    # isomorphism (Math. Comp. 2019); order 6 is the cap
+    assert tb.MAX_ENUM_ORDER == 6
     start = time.perf_counter()
-    assert len(se._enumerate_racks(6, False, False)) == 36538
-    assert len(se._enumerate_racks(6, False, True)) == 353
-    assert len(se._enumerate_racks(6, True, True)) == 73
+    assert len(tb.enumerate_racks(6)) == 36538
+    assert len(tb.enumerate_racks(6, up_to_iso=True)) == 353
+    assert len(tb.enumerate_racks(6, quandles_only=True, up_to_iso=True)) == 73
     # about 5 s on a 2-vCPU VM; the search on permutation tuples took
     # 15 s for the labelled racks alone
     assert time.perf_counter() - start < 20
@@ -358,8 +359,8 @@ def test_uncapped_search_gives_the_published_order_6_counts():
 def test_enumeration_rejects_out_of_range_order():
     with pytest.raises(ValueError):
         tb.enumerate_racks(0)
-    with pytest.raises(ValueError):
-        tb.enumerate_racks(6)
+    with pytest.raises(ValueError, match="outside supported range 1..6"):
+        tb.enumerate_racks(7)
 
 
 def test_relabel_preserves_axioms():
