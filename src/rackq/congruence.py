@@ -85,10 +85,15 @@ class Partition(Record):
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Members of each block, in block order (ascending inside)."""
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.block_of):
-            out[b].append(x)
-        return tuple(tuple(b) for b in out)
+        return _blocks(self.block_of, self.num_blocks)
+
+
+def _blocks(blk, k):
+    """Members of each of the k blocks of the growth string blk."""
+    out: list[list[int]] = [[] for _ in range(k)]
+    for x, b in enumerate(blk):
+        out[b].append(x)
+    return tuple(map(tuple, out))
 
 
 def partitions(n: int):
@@ -190,13 +195,19 @@ def quotient(r: Table, p: Partition) -> QuotientRack:
 
     Raises NotACongruenceError carrying the classification, Neither, when
     p respects neither operation (the one pass over the products of * that
-    decides it also fills the quotient's cells).
+    decides it also fills the quotient's cells).  A mismatched order is
+    reported first, then a table that is not a rack.
     """
-    table = try_induced_table(r, p)[0]
-    _rack_rows(r)
-    if table is None:
+    blk = p.block_of
+    if len(blk) != r.order:
+        raise ValueError(f"partition order {p.order} != rack order {r.order}")
+    k = max(blk) + 1
+    cells = _induced_cells(_rack_rows(r), blk, k)[0]
+    if cells is None:
         raise NotACongruenceError(_BY_PRIMARY[False])
-    return QuotientRack(table, p.blocks())
+    # k cells at a time, from one iterator, make the rows of the quotient
+    rows = tuple(zip(*[iter(cells)] * k))
+    return QuotientRack._new(Table._new(rows), _blocks(blk, k))
 
 
 def _products_by_last(rows):

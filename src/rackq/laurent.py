@@ -25,6 +25,11 @@ from .tables import PRIMARY, Record, _draw, _half_witness, _quoted, side_sign
 POLY_RING = "poly"        # multipliers from Z[t]
 LAURENT_RING = "laurent"  # multipliers from Z[t, 1/t]
 
+# The largest exponent a submodule membership test divides at: its long
+# division holds one dense list entry per exponent, and with the
+# generator t - 1, contains(t^1000000 - 1) takes about 0.3 s.
+MAX_DIVISION_SPAN = 10**6
+
 
 class LaurentPoly(Record):
     """Finite integer combination of powers t^e, e in Z, stored as two int
@@ -279,7 +284,14 @@ class PrincipalSubmodule(Record):
             v = d.exps[0]
         if v:
             d = d.shifted(-v)
-        return d.exps[0] >= 0 and _exact_divides(d, h0)
+        if d.exps[0] < 0:
+            return False
+        if d.exps[-1] > MAX_DIVISION_SPAN:
+            raise ValueError(
+                f"exponent span 0..{_quoted(d.exps[-1])} exceeds the membership "
+                f"test's limit of {MAX_DIVISION_SPAN}"
+            )
+        return _exact_divides(d, h0)
 
 
 def _exact_divides(num: LaurentPoly, den: LaurentPoly) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
+from itertools import starmap
 from operator import attrgetter, itemgetter
 
 Perm = tuple[int, ...]
@@ -300,8 +301,9 @@ def _columns(rows):
     entries lie in 0..n-1, so n distinct ones make a permutation."""
     n = len(rows)
     cols = tuple(zip(*rows))
-    perm = [len(set(col)) == n for col in cols]
-    return cols, None if all(perm) else perm.index(False)
+    if min(map(len, map(set, cols))) == n:
+        return cols, None
+    return cols, next(y for y, col in enumerate(cols) if len(set(col)) < n)
 
 
 def _permutation_columns(rows):
@@ -322,10 +324,12 @@ def _homomorphic(rows, target, maps) -> bool:
     endomorphism.  Row x of the left side is row x of rows mapped through
     f, and of the right side row f(x) of target read at the columns f(y).
     """
+    if len(rows) == 1:  # the one product is 0 * 0 = 0; itemgetter(i) gives no 1-tuple
+        return all(target[x][x] == x for x, in maps)
     # one map reads each row once, and most maps fail on an early row
-    row_maps = map(_picker, rows) if len(maps) == 1 else [_picker(row) for row in rows]
+    row_maps = starmap(itemgetter, rows) if len(maps) == 1 else [*starmap(itemgetter, rows)]
     for f in maps:
-        at = _picker(f)
+        at = itemgetter(*f)
         for through, image_row in zip(row_maps, at(target)):
             if through(f) != at(image_row):
                 return False
@@ -342,20 +346,24 @@ def validate(m: Table) -> AxiomReport:
 
     Each flag is the exhaustive truth value over all pairs (triples for
     distributivity).  Right invertibility holds iff every column of the
-    table is a permutation.
+    table is a permutation.  A rack is remembered as _rack_rows does, and
+    the flags are consistent by construction, so the report is unchecked.
     """
+    global _last_rack
     rows = m.rows
     cols, bad = _columns(rows)
     idem = all(row[x] == x for x, row in enumerate(rows))
     rinv = bad is None
     rsd = _homomorphic(rows, rows, cols)
     rack = rinv and rsd
-    return AxiomReport(idem, rinv, rsd, rack, rack and idem)
+    if rack:
+        _last_rack = rows
+    return AxiomReport._new(idem, rinv, rsd, rack, rack and idem)
 
 
-# The rows of the last table _rack_rows passed.  It holds the rows
-# object itself, so no other object can take its identity while it is
-# recorded.
+# The rows of the last table that passed the rack check of validate or
+# _rack_rows.  It holds the rows object itself, so no other object can
+# take its identity while it is recorded.
 _last_rack = None
 
 
@@ -363,7 +371,8 @@ def _rack_rows(r: Table):
     """The rows of r; ValueError unless r is a rack.
 
     The last rack is remembered by the identity of its rows, so calls
-    back to back on one table (every quotient of a census) check it once.
+    back to back on one table (validate, then every quotient of a census)
+    check it once.
     """
     global _last_rack
     rows = r.rows

@@ -7,6 +7,7 @@ repeats criterion 4 input for input.  Most of the suite's time goes to
 the exhaustive difference-set grid of criterion 9.
 """
 
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -31,31 +32,48 @@ def _racks_up_to(max_order):
             yield rack
 
 
+@functools.cache
+def _order6_classes():
+    # one rack of each class: relabelling preserves both classifications
+    return tb.enumerate_racks(6, up_to_iso=True)
+
+
 def test_criterion_1_no_half_congruences_on_small_racks():
     # the two-sided search, which checks each partition on both
     # operations; rackq's own search decides by * alone on this theorem
-    checked = 0
-    for rack in _racks_up_to(5):
-        for _, cls in two_sided.search(rack):
-            assert cls in (CC.BOTH, CC.NEITHER)
-            checked += 1
+    counts = []
+    for racks in (_racks_up_to(5), _order6_classes()):
+        checked = 0
+        for rack in racks:
+            for _, cls in two_sided.search(rack):
+                assert cls in (CC.BOTH, CC.NEITHER)
+                checked += 1
+        counts.append(checked)
+    # Bell(6) = 203 partitions of each of the 353 classes of order 6
+    assert counts[1] == 353 * 203 == 71659
     print(f"ACCEPTANCE 1 PASS: no half congruence on any rack of order <= 5 "
-          f"({checked} rack/partition classifications)")
+          f"({counts[0]} rack/partition classifications) or any rack class of "
+          f"order 6 ({counts[1]})")
 
 
 def test_criterion_2_quotients_of_full_congruences_validate():
-    checked = 0
-    for rack in _racks_up_to(5):
-        source_is_quandle = tb.validate(rack).is_quandle
-        for p, cls in cg.enumerate_congruences(rack):
-            if cls is not CC.BOTH:
-                continue
-            report = tb.validate(cg.quotient(rack, p).table)
-            assert report.is_rack
-            if source_is_quandle:
-                assert report.is_quandle
-            checked += 1
-    print(f"ACCEPTANCE 2 PASS: {checked} quotients validate as racks "
+    counts = []
+    for racks in (_racks_up_to(5), _order6_classes()):
+        checked = 0
+        for rack in racks:
+            source_is_quandle = tb.validate(rack).is_quandle
+            quotients = [cg.quotient(rack, p) for p, cls in cg.enumerate_congruences(rack)
+                         if cls is CC.BOTH]
+            for q in quotients:
+                report = tb.validate(q.table)
+                assert report.is_rack
+                if source_is_quandle:
+                    assert report.is_quandle
+            checked += len(quotients)
+        counts.append(checked)
+    assert counts[1] == 5098
+    print(f"ACCEPTANCE 2 PASS: {counts[0]} quotients of the racks of order <= 5 "
+          f"and {counts[1]} of the rack classes of order 6 validate as racks "
           f"(and quandles where the source is one)")
 
 
@@ -238,7 +256,13 @@ def test_criterion_11_affine_per_side_rule():
             statuses = {ws.status for ws in wa.classify_weight(wa.Weight(Fraction(p, q))).witnesses}
             assert (CC.RIGHT_ONLY in statuses) == (abs(p) != 1), (p, q)
             assert (CC.LEFT_ONLY in statuses) == (q != 1), (p, q)
+            # the orbit form of the finite theorem: S_y(x) = y + w(x - y)
+            # has only finite orbits iff w is 1 or -1, and some role is
+            # half exactly when an orbit is infinite
+            half = bool(statuses & {CC.RIGHT_ONLY, CC.LEFT_ONLY})
+            assert half == (Fraction(p, q) not in (1, -1)), (p, q)
             weights += 1
     assert weights == 1109
     print(f"ACCEPTANCE 11 PASS: on all {weights} weights p/q with |p|, q <= 30, "
-          f"a RightOnly witness iff |p| != 1 and a LeftOnly one iff q != 1")
+          f"a RightOnly witness iff |p| != 1 and a LeftOnly one iff q != 1, "
+          f"so some role is half iff w is not -1")

@@ -327,21 +327,45 @@ def test_quotient_error_carries_classification():
     assert info.value.classification is CC.NEITHER
 
 
+def _induced_rows_by_definition(t, p):
+    """[x] * [y] = [x * y] on the blocks of p, or None when two products
+    of the same pair of blocks lie in different blocks."""
+    blocks, blk = p.blocks(), p.block_of
+    cells = [{blk[t.op(x, y)] for x in bx for y in by} for bx in blocks for by in blocks]
+    if any(len(c) > 1 for c in cells):
+        return None
+    k = len(blocks)
+    return tuple(tuple(c.pop() for c in cells[i * k:(i + 1) * k]) for i in range(k))
+
+
+# tables of order <= 3 that are not racks
+NOT_RACKS = (
+    tb.Table(((0, 1), (1, 0))),
+    tb.Table(((0, 0), (1, 0))),
+    tb.Table(((0, 1, 2),) * 3),
+    tb.Table(((1, 2, 0), (2, 0, 1), (0, 1, 2))),
+)
+
+
 def test_quotient_matches_classification_and_induced_table():
-    # quotient builds its table from the classification's primary cells
+    # every partition of every labelled rack of order <= 4
+    quotients = 0
     for n in (1, 2, 3, 4):
         for t in tb.enumerate_racks(n):
             for p in cg.partitions(n):
                 cls = cg.classify_relation(t, p)
+                rows = _induced_rows_by_definition(t, p)
+                assert (cls is CC.BOTH) == (rows is not None)
                 if cls is CC.BOTH:
-                    table, conflict = cg.try_induced_table(t, p)
-                    assert conflict is None
                     q = cg.quotient(t, p)
-                    assert q.table == table and q.blocks == p.blocks()
+                    assert q.table.rows == rows and q.blocks == p.blocks()
+                    quotients += 1
                 else:
                     with pytest.raises(cg.NotACongruenceError) as info:
                         cg.quotient(t, p)
-                    assert info.value.classification is cls
+                    assert info.value.classification is CC.NEITHER
+    # full congruences of the 1, 2, 13 and 114 labelled racks of orders 1-4
+    assert quotients == 1 + 4 + 38 + 556
 
 
 def test_quotient_rejects_mismatched_orders_and_non_racks():
@@ -349,6 +373,17 @@ def test_quotient_rejects_mismatched_orders_and_non_racks():
         cg.quotient(D3, PARITY)
     with pytest.raises(ValueError, match="not a rack"):
         cg.quotient(tb.Table(((0, 1), (1, 0))), cg.Partition((0, 1)))
+    # the order is reported first, then the rack check, then the class
+    wrong_order = [cg.Partition((0,) * n) for n in (1, 2, 3, 4, 5)]
+    for t in [t for n in (1, 2, 3, 4) for t in tb.enumerate_racks(n)] + list(NOT_RACKS):
+        for p in wrong_order[:t.order - 1] + wrong_order[t.order:]:
+            with pytest.raises(ValueError, match="^partition order"):
+                cg.quotient(t, p)
+    for t in NOT_RACKS:
+        assert not tb.validate(t).is_rack
+        for p in cg.partitions(t.order):
+            with pytest.raises(ValueError, match="^not a rack$"):
+                cg.quotient(t, p)
 
 
 def test_no_half_congruences_on_small_racks():

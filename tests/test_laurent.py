@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -749,3 +750,24 @@ def test_dense_division_reference_cases_reach_both_answers():
             assert m.contains(multiple) == _contains_reference(m, multiple)
             assert m.contains(off) == _contains_reference(m, off)
             assert not m.contains(off) and m.contains(multiple) == (ring == la.LAURENT_RING)
+
+
+def test_membership_refuses_a_division_wider_than_its_limit():
+    m = la.PrincipalSubmodule(la.parse_laurent("t - 1"))
+    assert la.MAX_DIVISION_SPAN == 10**6
+    # the widest division allowed still answers, in about 0.3 s
+    assert m.contains(LaurentPoly({10**6: 1, 0: -1}))
+    # a dense list of 10**9 entries would not fit in memory
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^exponent span 0\.\.1000000000 exceeds .* 1000000$"):
+        m.contains(LaurentPoly({10**9: 1, 0: -1}))
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match=r"^exponent span 0\.\.1000001 "):
+        m.contains(LaurentPoly({10**6 + 1: 1, 0: -1}))
+    # the span is counted after the valuation is divided out
+    laurent_ring = la.PrincipalSubmodule(m.generator, la.LAURENT_RING)
+    assert laurent_ring.contains(LaurentPoly({10**9 + 10**6: 1, 10**9: -1}))
+    # a term below t^0 answers False in Z[t] before any span is counted
+    assert not m.contains(LaurentPoly({10**9: 1, -1: -1}))
+    with pytest.raises(ValueError, match="int of about 5001 digits"):
+        m.contains(LaurentPoly({10**5000: 1, 0: -1}))

@@ -89,18 +89,21 @@ def test_inverse_identities_and_involution():
 
 
 def test_inverse_column_is_a_power_of_the_symmetry():
-    # Why a finite rack has no half congruence: S_y has finite order k, so
-    # x *' y = S_y^(k-1)(x), and a relation respecting * respects *'.
+    # Why a rack whose columns have only finite orbits has no half
+    # congruence: x's own S_y-orbit has some length l, so
+    # x *' y = S_y^(l-1)(x), and a relation respecting * respects *'.
     racks = [t for n in range(1, 6) for t in tb.enumerate_racks(n)]
     assert len(racks) == 1838
     for t in racks:
         inv = tb.inverse_table(t)
         for y in range(t.order):
             s = t.column(y)
-            power = tuple(range(t.order))
-            for _ in range(tb.perm_order(s) - 1):
-                power = tuple(s[x] for x in power)
-            assert inv.column(y) == power, (t, y)
+            for x in range(t.order):
+                orbit = [x]
+                while s[orbit[-1]] != x:
+                    orbit.append(s[orbit[-1]])
+                # S_y^(l-1)(x) is the last point of the orbit before x
+                assert inv.op(x, y) == orbit[-1], (t, x, y)
 
 
 def test_inverse_error_names_the_column():
@@ -824,7 +827,10 @@ def _inverse_reference(t):
 
 def _check_kernel_against_reference(t):
     report = _validate_reference(t)
+    remembered = tb._last_rack
     assert tb.validate(t) == report
+    # validate remembers a rack for the congruence functions, and only a rack
+    assert tb._last_rack is (t.rows if report.is_rack else remembered)
     expected = _inverse_reference(t)
     if isinstance(expected, str):
         with pytest.raises(ValueError) as info:
@@ -832,11 +838,14 @@ def _check_kernel_against_reference(t):
         assert str(info.value) == expected
     else:
         assert tb.inverse_table(t).rows == expected
+    # an equal table with rows of its own, which validate did not remember,
+    # so that _rack_rows runs its own check
+    twin = tb.Table(t.rows)
     if report.is_rack:
-        assert cg._rack_rows(t) is t.rows
+        assert cg._rack_rows(twin) is twin.rows
     else:
         with pytest.raises(ValueError, match="^not a rack$"):
-            cg._rack_rows(t)
+            cg._rack_rows(twin)
 
 
 def _one_entry_changed(t, k):
@@ -856,9 +865,9 @@ def _column_entries_swapped(t, k):
     return tb.Table(rows)
 
 
-def test_axiom_kernel_on_every_table_of_order_at_most_2():
-    tables = [t for n in (1, 2) for t in _all_tables(n)]
-    assert len(tables) == 17
+def test_axiom_kernel_on_every_table_of_order_at_most_3():
+    tables = [t for n in (1, 2, 3) for t in _all_tables(n)]
+    assert len(tables) == 1 + 16 + 19683
     for t in tables:
         _check_kernel_against_reference(t)
 
@@ -885,6 +894,7 @@ def test_rack_check_runs_once_across_calls_on_one_table(monkeypatch):
     kernel = tb._homomorphic
     monkeypatch.setattr(tb, "_homomorphic", lambda *a: calls.append(1) or kernel(*a))
     t = tb.dihedral(6)
+    assert tb.validate(t).is_rack
     census = cg.enumerate_congruences(t)
     for p, cls in census:
         assert cg.classify_relation(t, p) is cls
@@ -897,6 +907,7 @@ def test_rack_check_remembers_only_racks():
     rack, not_rack = tb.dihedral(5), tb.Table(((0, 1), (1, 0)))
     rows = tb._rack_rows(rack)
     for _ in range(2):
+        assert not tb.validate(not_rack).is_rack
         with pytest.raises(ValueError, match="^not a rack$"):
             tb._rack_rows(not_rack)
         with pytest.raises(ValueError, match="not a rack"):
