@@ -90,11 +90,12 @@ def shift(a: BiSeq, direction: str) -> BiSeq:
 
 
 def shift_by(a: BiSeq, k: int) -> BiSeq:
-    """k-fold left shift; negative k shifts right.
-
-    Only the start moves, with no check or canonicalisation, which a
-    shift of a canonical sequence cannot change; a constant sequence
-    keeps start 0, so it is its own shift."""
+    """k-fold left shift, for an int k; negative k shifts right.  Only the
+    start moves, with no check or canonicalisation, which a shift of a
+    canonical sequence cannot change; a constant sequence keeps start 0,
+    so it is its own shift."""
+    if type(k) is not int:
+        raise ValueError(f"shift must be an int, got {_quoted(k)}")
     if not a.word and a.left_tail == a.right_tail:
         return a
     return BiSeq._new(a.left_tail, a.start - k, a.word, a.right_tail)
@@ -142,10 +143,13 @@ def seq_rack_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
 
 
 def seq_quandle_op(a: BiSeq, b: BiSeq, side: str = PRIMARY) -> BiSeq:
-    """Quandle operation: fix a when it is shift-equivalent to b, else
-    shift it left (primary) or right (inverse)."""
-    k = 1 if side == PRIMARY else side_sign(side)
-    return a if shift_equivalent(a, b) else shift_by(a, k)
+    """Quandle operation: fix a, first, when it is shift-equivalent to b
+    (same right tail), else shift it left (primary) or right (inverse)."""
+    if a.right_tail == b.right_tail:
+        if side is not PRIMARY:
+            side_sign(side)
+        return a
+    return shift_by(a, 1 if side is PRIMARY else side_sign(side))
 
 
 class Witnesses(Record):
@@ -201,16 +205,14 @@ class NormalForm(Record):
 
 
 def normal_form_op(u: NormalForm, v: NormalForm, side: str = PRIMARY) -> NormalForm:
-    """Multiplication on normal forms: u itself unless v is c and u is
-    not, and then u's generator at the next (primary) or previous
-    (inverse) power.
-
-    That result is built without NormalForm's checks, which cannot fail
-    for a generator a or b."""
-    k = 1 if side == PRIMARY else side_sign(side)
-    if u.gen == "c" or v.gen != "c":
+    """Multiplication on normal forms: u itself, returned first, unless v
+    is c and u is not; then u's generator at the next (primary) or previous
+    (inverse) power, built by _new, since no check can fail for a or b."""
+    if v.gen != "c" or u.gen == "c":
+        if side is not PRIMARY:
+            side_sign(side)
         return u
-    return NormalForm._new(u.gen, u.power + k)
+    return NormalForm._new(u.gen, u.power + (1 if side is PRIMARY else side_sign(side)))
 
 
 def embed_normal_form(u: NormalForm) -> BiSeq:

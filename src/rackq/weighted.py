@@ -96,6 +96,8 @@ class SubgroupDescriptor(Record):
             raise ValueError(f"unknown descriptor kind {kind!r}")
         g = Fraction(g)
         if kind == "scaled":
+            if type(m) is not int:
+                raise ValueError(f"denominator base must be an int, got {_quoted(m)}")
             if g <= 0:
                 raise ValueError("scale must be positive")
             if m < 1:

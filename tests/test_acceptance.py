@@ -177,32 +177,42 @@ def test_criterion_7_closure_lemma_grid():
 
 
 def test_criterion_8_first_isomorphism_theorem():
-    # every labelled rack of order <= 3, and one rack of each class of
-    # order <= 5
+    # every labelled rack of order <= 3, one rack of each class of order
+    # <= 5, and each class of order 6 into each class of order <= 3
     labelled = [t for n in (1, 2, 3) for t in tb.enumerate_racks(n)]
     classes = [t for n in range(1, 6) for t in tb.enumerate_racks(n, up_to_iso=True)]
-    assert (len(labelled) ** 2, len(classes) ** 2) == (256, 10404)
+    small = [t for t in classes if t.order <= 3]
+    pair_sets = (
+        list(itertools.product(labelled, repeat=2)),
+        list(itertools.product(classes, repeat=2)),
+        list(itertools.product(_order6_classes(), small)),
+    )
+    assert [len(pairs) for pairs in pair_sets] == [256, 10404, 353 * 9]
     start = time.perf_counter()
     counts = []
-    for racks in (labelled, classes):
-        homs = small = 0
-        for r in racks:
-            for s in racks:
-                for f in cg.find_homomorphisms(r, s):
-                    assert cg.first_isomorphism_check(f, r, s)
-                    assert cg.classify_relation(r, cg.kernel_partition(f, r, s)) is CC.BOTH
-                    homs += 1
-                    small += max(r.order, s.order) <= 4
-        counts.append((homs, small))
+    for pairs in pair_sets:
+        homs = small_homs = 0
+        for r, s in pairs:
+            for f in cg.find_homomorphisms(r, s):
+                assert cg.first_isomorphism_check(f, r, s)
+                assert cg.classify_relation(r, cg.kernel_partition(f, r, s)) is CC.BOTH
+                homs += 1
+                small_homs += max(r.order, s.order) <= 4
+        counts.append((homs, small_homs))
     # the homomorphisms between classes of order <= 5, of which those of
-    # order <= 4; about 11 s on a 2-vCPU VM, 2 s of it in the search
+    # order <= 4, and from the classes of order 6 into those of order
+    # <= 3 (a brute force over their 1,589,559 maps finds the same
+    # 26,426); about 11 s on a 2-vCPU VM, 2.3 s of it in the search
     assert counts[1] == (159801, 4834)
+    assert counts[2][0] == 26426
     assert time.perf_counter() - start < 60
     print(f"ACCEPTANCE 8 PASS: first isomorphism theorem and kernel "
           f"classification for {counts[0][0]} homomorphisms over {len(labelled)}^2 "
-          f"ordered pairs of labelled racks of order <= 3, and {counts[1][0]} over "
+          f"ordered pairs of labelled racks of order <= 3, {counts[1][0]} over "
           f"{len(classes)}^2 ordered pairs of rack classes of order <= 5 "
-          f"({counts[1][1]} between classes of order <= 4)")
+          f"({counts[1][1]} between classes of order <= 4), and {counts[2][0]} over "
+          f"the {len(pair_sets[2])} ordered pairs from the rack classes of order 6 "
+          f"into those of order <= 3")
 
 
 def test_criterion_9_alexander_example():

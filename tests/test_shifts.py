@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,6 +147,14 @@ def test_shift_by():
     assert sh.shift_by(W.spike, 3) == BiSeq(0, -3, (1,), 0)
     assert sh.shift_by(W.spike, -2) == BiSeq(0, 2, (1,), 0)
     assert sh.shift_by(W.step, 0) == W.step
+    # a float would give a float start, which bit_at cannot index, and
+    # True would shift by 1
+    for k in (0.5, 1.0, True, F(1), "1"):
+        for a in (W.spike, W.zeros):  # moved, and a constant sequence
+            with pytest.raises(ValueError, match="^shift must be an int, got "):
+                sh.shift_by(a, k)
+    with pytest.raises(ValueError, match=r"^shift must be an int, got 0\.5$"):
+        sh.shift_by(W.spike, 0.5)
 
 
 def test_shift_rejects_bad_direction():
@@ -373,15 +382,23 @@ def test_normal_form_op_results_match_the_public_constructor():
 
 
 def test_operations_reject_a_bad_side_on_every_branch():
-    c, a2 = sh.NormalForm("c"), sh.NormalForm("a", 2)
-    for u, v in ((c, a2), (a2, c)):  # u returned as it is, and u moved
+    # the fixed branches return before they need the side's sign: a side
+    # equal to a constant but not the constant itself gives its result,
+    # and an unknown side raises on every branch
+    equal = {PRIMARY: "".join(["prim", "ary"]), INVERSE: "".join(["inv", "erse"])}
+    assert all(side == same and side is not same for side, same in equal.items())
+    c, a2, b1 = sh.NormalForm("c"), sh.NormalForm("a", 2), sh.NormalForm("b", -1)
+    # u returned as it is (twice), and u moved
+    cases = [(sh.normal_form_op, u, v) for u, v in ((c, a2), (a2, b1), (a2, c))]
+    for op in (sh.seq_quandle_op, sh.seq_rack_op):
+        # equivalent (the quandle's fixed branch), and not
+        cases += [(op, a, b) for a, b in ((W.spike, W.zeros), (W.spike, W.ones))]
+    for op, x, y in cases:
+        assert op(x, y) == op(x, y, PRIMARY)
+        for side, same in equal.items():
+            assert op(x, y, same) == op(x, y, side)
         with pytest.raises(ValueError, match="side must be"):
-            sh.normal_form_op(u, v, "sideways")
-    for a, b in ((W.spike, W.zeros), (W.spike, W.ones)):  # equivalent, and not
-        with pytest.raises(ValueError, match="side must be"):
-            sh.seq_quandle_op(a, b, "sideways")
-        with pytest.raises(ValueError, match="side must be"):
-            sh.seq_rack_op(a, b, "sideways")
+            op(x, y, "sideways")
 
 
 def test_normal_form_validation():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -104,6 +105,63 @@ def test_inverse_column_is_a_power_of_the_symmetry():
                     orbit.append(s[orbit[-1]])
                 # S_y^(l-1)(x) is the last point of the orbit before x
                 assert inv.op(x, y) == orbit[-1], (t, x, y)
+
+
+def test_ray_relation_is_a_half_congruence_of_the_successor_rack():
+    # On Z with x * y = x + 1 and x *' y = x - 1, the ray {n >= 0} as one
+    # block, every other integer alone, respects * but not *': 0 ~ 1,
+    # while 0 *' 0 = -1 and 1 *' 0 = 0 are not related.
+    def op(x, y, side):
+        return x + tb.side_sign(side)
+
+    ray = lambda x, y: x == y or min(x, y) >= 0  # noqa: E731
+    box = itertools.product(range(-6, 7), repeat=4)
+    quads = [(a, b, c, d) for a, b, c, d in box if ray(a, c) and ray(b, d)]
+    assert len(quads) == (6 + 7 * 7) ** 2  # related pairs: 6 alone, 7 * 7 in the ray
+    assert tb._respects(op, ray, quads, tb.PRIMARY)
+    assert not tb._respects(op, ray, quads, tb.INVERSE)
+    assert tb._half_witness(op, ray, (0, 0, 1, 0), tb.PRIMARY) is None
+    assert tb._half_witness(op, ray, (0, 0, 1, 0), tb.INVERSE) == (0, 0, 1, 0)
+
+
+def test_closures_on_a_rack_with_only_finite_orbits_respect_the_inverse():
+    # On N with x * y = sigma(x), where sigma has one cycle of each length
+    # k >= 1 ({0}, {1, 2}, {3, 4, 5}, ...), S_y = sigma has infinite order
+    # but every orbit is finite, so no half principal congruence exists.
+    # The *-closure of (a, b) joins sigma^i(a) with sigma^i(b) for i below
+    # the lcm of the two cycle lengths and leaves every other point alone.
+    cycles, first = [], 0
+    while first < 200:
+        cycles.append(range(first, first + len(cycles) + 1))
+        first = cycles[-1].stop
+    cycle_of = {x: c for c in cycles for x in c}
+
+    def sigma(x, step):
+        c = cycle_of[x]
+        return c[(x - c.start + step) % len(c)]
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    pairs = 0
+    for b in range(200):
+        for a in range(b):
+            ca, cb = cycle_of[a], cycle_of[b]
+            parent = {x: x for x in (*ca, *cb)}
+            x, y = a, b
+            for _ in range(math.lcm(len(ca), len(cb))):
+                parent[find(parent, x)] = find(parent, y)
+                x, y = sigma(x, 1), sigma(y, 1)
+            classes = {}
+            for x in parent:
+                classes.setdefault(find(parent, x), []).append(x)
+            for cls in classes.values():
+                for step in (1, -1):  # * and *' map each class into one class
+                    assert len({find(parent, sigma(x, step)) for x in cls}) == 1, (a, b)
+            pairs += 1
+    assert pairs == 19900
 
 
 def test_inverse_error_names_the_column():

@@ -77,6 +77,14 @@ def test_descriptor_validation():
         wa.SubgroupDescriptor.scaled(1, 0)
     with pytest.raises(ValueError, match="kind"):
         wa.SubgroupDescriptor("weird")
+    # a float base would make contains raise TypeError, and True would
+    # stand for 1
+    for m in (3.0, True, F(3), "3"):
+        with pytest.raises(ValueError, match="^denominator base must be an int, got "):
+            wa.SubgroupDescriptor.scaled(1, m)
+    with pytest.raises(ValueError, match=r"^denominator base must be an int, got 3\.0$"):
+        wa.SubgroupDescriptor.scaled(1, 3.0)
+    assert wa.SubgroupDescriptor.scaled(1, 3).contains(F(1, 3))
 
 
 def test_contains_examples():
