@@ -13,31 +13,15 @@ from operator import itemgetter
 from .tables import MAX_ENUM_ORDER, Table, _homomorphic, _picker, _quoted, invert_perm
 
 
-def _twin_classes(rows) -> list[int]:
-    """The least element each element is a twin of.
-
-    Elements c and d are twins when the transposition (c d) is an
-    automorphism: (c d) applied to x*y gives (c d)x * (c d)y for all x, y,
-    which _homomorphic decides.  Conjugating (c d) by (d e) gives (c e),
-    so being twins is an equivalence and one check against each class
-    found so far settles an element.
-    """
-    n = len(rows)
-    cols = list(zip(*rows))
-    least = list(range(n))
-    reps = []
-    for c in range(n):
-        for d in reps:
-            s = list(range(n))
-            s[c], s[d] = d, c
-            at = itemgetter(*s)
-            # column c first: it settles most pairs that are not twins
-            if tuple([s[v] for v in cols[c]]) == at(cols[d]) and _homomorphic(rows, rows, (s,)):
-                least[c] = d
-                break
-        else:
-            reps.append(c)
-    return least
+def _twins(rows, cols, c, d) -> bool:
+    """Whether c and d are twins: (c d) is an automorphism, which
+    _homomorphic decides.  Conjugating (c d) by (d e) gives (c e), so being
+    twins is an equivalence: a twin of a twin is a twin, and one check
+    against one member of each class found so far settles an element."""
+    s = list(range(len(rows)))
+    s[c], s[d] = d, c
+    # column c first: it settles most pairs that are not twins
+    return tuple([s[v] for v in cols[c]]) == itemgetter(*s)(cols[d]) and _homomorphic(rows, rows, (s,))
 
 
 def _take_least_label(x, label, elem, lo_of, cells) -> None:
@@ -92,18 +76,19 @@ def _canonical_rows(rows):
       with no choice made.
     - Otherwise, and when row i needs e_i, the search branches on the
       members of the cell that give the least entry.  For row 0 these
-      are the elements a with a*a = a, when there is one.
+      are the a = a*a with the most fixers y (a*y = a), when there is an
+      a = a*a: row 0 from e_0 = a opens with exactly one 0 per fixer.
 
     A branch is cut when a row read so far exceeds the same part of the
     best table found.  An automorphism that fixes every labelled element
     at a branch point also keeps every cell, so it maps the subtree of
     one member onto the subtree of its image, with the same tables.  Two
     kinds are used (McKay and Piperno, Practical graph isomorphism II,
-    2014): the transposition of twins (see _twin_classes), so only one
-    member of each twin class is tried; and, when a branch reads a table
-    equal to the best, the map from its labelling to the best one, which
-    skips later members that it (with those found before) takes to a
-    member already tried.
+    2014): the transposition of twins (see _twins), checked only between
+    the members of a branch point, so only one member of each twin class
+    is tried; and, when a branch reads a table equal to the best, the map
+    from its labelling to the best one, which skips later members that it
+    (with those found before) takes to a member already tried.
     """
     n = len(rows)
     if n == 1:
@@ -111,12 +96,14 @@ def _canonical_rows(rows):
     best = None  # the least table so far, as one flat tuple
     best_elem = None  # elem of the labelling that gave best
     cert = []  # entries read on the current branch
-    twin_of = None  # _twin_classes(rows), built at the first real choice
+    cols = list(zip(*rows))
+    twin_of = list(range(n))  # each element, or a twin of it found so far
+    twins = {}  # _twins of each pair of twin_of entries checked so far
     auts = []  # automorphisms found by reading a table equal to best
 
     def search(i, y, tied, label, elem, lo_of, cells):
         # Read on from entry (i, y); tied: cert equals the start of best.
-        nonlocal best, best_elem, twin_of
+        nonlocal best, best_elem
         top = len(cert)
         try:
             while True:
@@ -187,10 +174,23 @@ def _canonical_rows(rows):
                         cands.append(c)
                 if tied and least > best[len(cert)]:
                     return
+                if lo == least == 0:
+                    # the root, among idempotents: keep the most fixers
+                    most = max([rows[c].count(c) for c in cands])
+                    cands = [c for c in cands if rows[c].count(c) == most]
                 if len(cands) > 1:
-                    if twin_of is None:
-                        twin_of = _twin_classes(rows)
-                    cands = list({twin_of[c]: c for c in reversed(cands)}.values())
+                    # the first member of each twin class in the given order
+                    given, cands = cands, []
+                    for c in given:
+                        for d in cands:
+                            pair = (twin_of[d], twin_of[c])
+                            if pair not in twins:
+                                twins[pair] = pair[0] == pair[1] or _twins(rows, cols, *pair)
+                            if twins[pair]:
+                                twin_of[c] = twin_of[d]
+                                break
+                        else:
+                            cands.append(c)
                 if len(cands) == 1:
                     _take_least_label(cands[0], label, elem, lo_of, cells)
                     continue

@@ -31,10 +31,11 @@ class Weight(Record):
     __slots__ = ("value",)
 
     def __new__(cls, value: Fraction):
-        value = Fraction(value)
+        if type(value) not in (int, Fraction):
+            raise ValueError(f"weight must be an int or a Fraction, got {_quoted(value)}")
         if value == 0:
             raise ValueError("weight must be nonzero")
-        return cls._new(value)
+        return cls._new(Fraction(value))
 
     @property
     def p(self) -> int:
@@ -94,21 +95,20 @@ class SubgroupDescriptor(Record):
     def __new__(cls, kind: str, g: Fraction = Fraction(1), m: int = 1):
         if kind not in ("zero", "all", "scaled"):
             raise ValueError(f"unknown descriptor kind {kind!r}")
-        g = Fraction(g)
-        if kind == "scaled":
-            if type(m) is not int:
-                raise ValueError(f"denominator base must be an int, got {_quoted(m)}")
-            if g <= 0:
-                raise ValueError("scale must be positive")
-            if m < 1:
-                raise ValueError("denominator base must be >= 1")
-            if m > MAX_DESCRIPTOR_BASE:
-                # no value in the message: a huge int may not convert to str
-                raise ValueError(f"denominator base exceeds {MAX_DESCRIPTOR_BASE}")
-            m = _radical(m)
-        else:
-            g, m = Fraction(1), 1
-        return cls._new(kind, g, m)
+        if type(g) not in (int, Fraction):
+            raise ValueError(f"scale must be an int or a Fraction, got {_quoted(g)}")
+        if type(m) is not int:
+            raise ValueError(f"denominator base must be an int, got {_quoted(m)}")
+        if kind != "scaled":
+            return cls._new(kind, Fraction(1), 1)
+        if g <= 0:
+            raise ValueError("scale must be positive")
+        if m < 1:
+            raise ValueError("denominator base must be >= 1")
+        if m > MAX_DESCRIPTOR_BASE:
+            # no value in the message: a huge int may not convert to str
+            raise ValueError(f"denominator base exceeds {MAX_DESCRIPTOR_BASE}")
+        return cls._new(kind, Fraction(g), _radical(m))
 
     @classmethod
     def zero(cls) -> "SubgroupDescriptor":
@@ -120,7 +120,7 @@ class SubgroupDescriptor(Record):
 
     @classmethod
     def scaled(cls, g, m: int = 1) -> "SubgroupDescriptor":
-        return cls("scaled", Fraction(g), m)
+        return cls("scaled", g, m)
 
     @classmethod
     def integers(cls) -> "SubgroupDescriptor":

@@ -518,6 +518,38 @@ def test_canonical_form_on_every_small_rack_and_a_relabelling():
             _check_canonical_rows(tb.relabel(t, tuple(p)))
 
 
+def test_canonical_form_on_every_order_6_class_and_a_relabelling():
+    # each class representative is the least member of its relabelling
+    # orbit, found by the orbit walk of enumerate_racks, which shares no
+    # code with _canonical_rows
+    rng = random.Random(6)
+    reps = tb.enumerate_racks(6, up_to_iso=True)
+    assert len(reps) == 353
+    for t in reps:
+        p = list(range(6))
+        rng.shuffle(p)
+        assert tb.canonical_form(t) == t
+        assert tb.canonical_form(tb.relabel(t, tuple(p))) == t
+
+
+def test_canonical_row_0_opens_with_one_0_per_fixer_of_the_best_idempotent():
+    # the search starts row 0 only from the idempotents c with the most
+    # fixers y (c*y = c); row 0 from e_0 = c opens with exactly one 0 per
+    # fixer of c, so the least table opens with the largest count
+    tables = [t for n in (1, 2, 3) for t in _all_tables(n)]
+    tables += [t for n in range(1, 6) for t in tb.enumerate_racks(n)]
+    checked = 0
+    for t in tables:
+        most = max([row.count(c) for c, row in enumerate(t.rows) if row[c] == c], default=0)
+        if most:
+            row0 = tb.canonical_form(t).rows[0]
+            assert row0[:most] == (0,) * most and row0[most:most + 1] != (0,), t
+            checked += 1
+    # n^(n*n) tables of order n, (n-1)^n * n^(n*n-n) of them without an
+    # idempotent; 1,673 of the 1,838 labelled racks of order <= 5 have one
+    assert checked == (1 + 12 + 3 ** 9 - 2 ** 3 * 3 ** 6) + 1673
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_canonical_form_on_large_dihedral_and_trivial_racks(n):
     _check_canonical_rows(tb.dihedral(n))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,16 @@ def test_weight_reduces_and_rejects_zero():
     assert not wa.Weight(F(1)).nontrivial
     with pytest.raises(ValueError, match="nonzero"):
         wa.Weight(F(0))
+
+
+@pytest.mark.parametrize("value, shown", [
+    # a float would store its binary expansion, 0.1 as 3602879701896397/2**55
+    (0.1, "0.1"), (True, "True"), ("2/3", "'2/3'"), (2.0, "2.0"),
+])
+def test_weight_accepts_only_an_int_or_a_fraction(value, shown):
+    with pytest.raises(ValueError, match=f"^weight must be an int or a Fraction, got {re.escape(shown)}$"):
+        wa.Weight(value)
+    assert wa.Weight(2) == wa.Weight(F(2)) and wa.Weight(-1).value == -1
 
 
 def test_weighted_op_examples():
@@ -85,6 +96,22 @@ def test_descriptor_validation():
     with pytest.raises(ValueError, match=r"^denominator base must be an int, got 3\.0$"):
         wa.SubgroupDescriptor.scaled(1, 3.0)
     assert wa.SubgroupDescriptor.scaled(1, 3).contains(F(1, 3))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: wa.SubgroupDescriptor.scaled(0.1, 3), "scale must be an int or a Fraction, got 0.1"),
+    (lambda: wa.SubgroupDescriptor.scaled(True, 3), "scale must be an int or a Fraction, got True"),
+    (lambda: wa.SubgroupDescriptor.scaled("1/2", 3), "scale must be an int or a Fraction, got '1/2'"),
+    # zero and all drop g and m, but a value of the wrong type is refused
+    (lambda: wa.SubgroupDescriptor("zero", m=3.0), "denominator base must be an int, got 3.0"),
+    (lambda: wa.SubgroupDescriptor("all", g=0.5, m="x"), "scale must be an int or a Fraction, got 0.5"),
+    (lambda: wa.SubgroupDescriptor("all", m="x"), "denominator base must be an int, got 'x'"),
+], ids=["scaled-float-g", "scaled-bool-g", "scaled-str-g", "zero-float-m", "all-float-g", "all-str-m"])
+def test_descriptor_accepts_only_an_int_or_a_fraction_scale_and_an_int_base(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+    assert wa.SubgroupDescriptor.scaled(2, 3) == wa.SubgroupDescriptor.scaled(F(2), 3)
+    assert wa.SubgroupDescriptor("zero", F(5), 7) == wa.SubgroupDescriptor.zero()
 
 
 def test_contains_examples():
