@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .tables import MAX_ENUM_ORDER, Table, _homomorphic, _picker, _quoted, invert_perm
+from .tables import MAX_ENUM_ORDER, Table, _check_order, _homomorphic, _picker, _quoted, invert_perm
 
 
 def _twins(rows, cols, c, d) -> bool:
@@ -241,14 +241,26 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     S_{p(k)} = p, and each set column permutes the set columns, so a
     candidate p must send k to an unset column (quandles: to k itself).
 
+    The search sets S_0 only to one of _roots: one permutation r per
+    pair (cycle type, length of the cycle through 0).  Relabelling by s
+    puts s S_y s^-1 at s(y).  A permutation p is s r s^-1 for some s
+    fixing 0 exactly when 0 lies in cycles of the same length in p and
+    in r, so relabelling a rack with S_0 = p by s^-1 gives one with
+    S_0 = r: every rack is a relabelling of one found.  The labelled
+    racks are the relabellings of the racks found under r by one s
+    fixing 0 per conjugate s r s^-1, each arising exactly once: S_0 of
+    the result fixes the coset of s, and then the rack found is the
+    result relabelled by s^-1.  So no set of tables seen is kept.
+
     With up_to_iso, keeps one table per isomorphism class: the
     lexicographically least relabelling, which is canonical_form of each
-    member.  The labelled racks are closed under relabelling, so the
-    classes are their relabelling orbits.  Relabelling by p moves S_y to
-    position p(y) as p S_y p^-1, one composition lookup per column, so
-    each table not yet covered gives one class, its orbit built as index
+    member.  Every class has a member among the racks found, so the
+    classes are the relabelling orbits of those racks.  Relabelling by
+    p is one composition lookup per column, so each found rack not yet
+    covered by an orbit gives one class, its orbit built as index
     tuples.  Output is sorted by table rows, so the order is deterministic.
     """
+    _check_order(n)
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"order {_quoted(n)} outside supported range 1..{MAX_ENUM_ORDER}")
     perms = list(itertools.permutations(range(n)))
@@ -288,14 +300,34 @@ def _composition_table(perms, index) -> list[tuple[int, ...]]:
     return comp
 
 
+def _roots(n: int, quandles_only: bool) -> list[tuple[int, ...]]:
+    """One permutation of 0..n-1 per pair (cycle type, length of the
+    cycle through 0), its cycles laid out from 0, the one through 0
+    first and the rest longest first; for quandles, only those that fix 0."""
+    def laid_out(start, most):
+        # the cycles on start..n-1 as an image list, none longer than most
+        if start == n:
+            yield []
+        for m in range(min(most, n - start), 0, -1):
+            for rest in laid_out(start + m, m):
+                yield [*range(start + 1, start + m), start, *rest]
+
+    firsts = (1,) if quandles_only else range(1, n + 1)
+    roots = [tuple([*range(1, m), 0, *rest]) for m in firsts for rest in laid_out(m, n - m)]
+    del laid_out  # it refers to itself through its closure cell; break that cycle
+    return roots
+
+
 def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int, ...]]:
     """The racks of order n as tuples of column indices into perms, the
     n! permutations of 0..n-1 in order; with up_to_iso, the member of
-    each relabelling orbit with the least rows."""
+    each relabelling orbit with the least rows.  The search finds only
+    the racks whose column S_0 is one of _roots (see enumerate_racks)."""
     n = len(perms[0])
     index = {p: i for i, p in enumerate(perms)}
     inv = [index[invert_perm(p)] for p in perms]
     comp = _composition_table(perms, index)
+    roots = [index[p] for p in _roots(n, quandles_only)]
     # by_image[k][v]: the indices of the p with p(k) = v
     by_image = [[[i for i, p in enumerate(perms) if p[k] == v] for v in range(n)] for k in range(n)]
     cols = [-1] * n  # the index of each column, -1 while unset
@@ -338,7 +370,7 @@ def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int
         k = cols.index(-1)
         mark = len(assigned)
         images = (k,) if quandles_only else [v for v in range(n) if cols[v] < 0]
-        for p in [p for v in images for p in by_image[k][v]]:
+        for p in roots if k == 0 else [p for v in images for p in by_image[k][v]]:
             cols[k] = p
             assigned.append(k)
             if close(mark):
@@ -349,16 +381,24 @@ def _rack_columns(perms, quandles_only: bool, up_to_iso: bool) -> list[tuple[int
 
     search()
     del search  # it refers to itself through its closure cell; break that cycle
-    if not up_to_iso:
-        return found
     # relabelling by p puts the conjugate of the column at q(y) at y, q = p^-1
     moves = [(comp[inv[p]], p, perms[inv[p]]) for p in range(len(perms))]
-    uncovered = set(found)
+    if not up_to_iso:
+        # relabel each rack found under r by one s fixing 0 per conjugate s r s^-1
+        transversal = {}
+        for r in roots:
+            conjugates = {}
+            for s in by_image[0][0]:
+                conjugates.setdefault(comp[comp[inv[s]][r]][s], moves[s])
+            transversal[r] = conjugates.values()
+        return [tuple([comp[after[c[j]]][p] for j in q])
+                for c in found for after, p, q in transversal[c[0]]]
+    covered: set[tuple[int, ...]] = set()
     reps = []
     for c in found:
-        if c in uncovered:
+        if c not in covered:
             orbit = {tuple([comp[after[c[j]]][p] for j in q]) for after, p, q in moves}
-            uncovered -= orbit
+            covered |= orbit
             # the member with the least rows
             reps.append(min(orbit, key=lambda d: tuple(zip(*map(perms.__getitem__, d)))))
     return reps

@@ -445,8 +445,15 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # example families
 
+def _check_order(n) -> None:
+    """Refuse an order that is not an int (a bool included)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"order {_quoted(n)} is not an int")
+
+
 def trivial(n: int) -> Table:
     """The trivial quandle: x * y = x."""
+    _check_order(n)
     return Table(tuple((x,) * n for x in range(n)))
 
 
@@ -460,6 +467,7 @@ def constant_action(p: Perm) -> Table:
 
 def dihedral(n: int) -> Table:
     """Dihedral quandle on Z_n: x * y = (2y - x) mod n."""
+    _check_order(n)
     return Table(tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n)))
 
 

@@ -160,7 +160,7 @@ def test_tables_forwards_only_the_public_search_names():
     from rackq import _search, tables
 
     assert tables._SEARCH == {"canonical_form", "enumerate_racks"}
-    for name in ("_canonical_rows", "_composition_table", "_rack_columns",
+    for name in ("_canonical_rows", "_composition_table", "_rack_columns", "_roots",
                  "_twins", "_take_least_label", "_place_cell", "_same_orbit"):
         assert callable(getattr(_search, name))
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):

@@ -404,6 +404,145 @@ def test_composition_table_matches_the_entry_by_entry_reference(n):
     assert [list(row) for row in comp] == _composition_table_reference(perms, index)
 
 
+def _rack_columns_unrestricted(perms, quandles_only, up_to_iso):
+    """_search._rack_columns as it was before the search set S_0 only to
+    a root: every permutation is a candidate for S_0, the labelled racks
+    are the search's own output, and the orbit walk takes each rack not
+    yet in an orbit from that output, which is closed under relabelling."""
+    n = len(perms[0])
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [index[tb.invert_perm(p)] for p in perms]
+    comp = se._composition_table(perms, index)
+    by_image = [[[i for i, p in enumerate(perms) if p[k] == v] for v in range(n)] for k in range(n)]
+    cols = [-1] * n
+    assigned = []
+    found = []
+
+    def close(start):
+        i = start
+        while i < len(assigned):
+            c = assigned[i]
+            a = cols[c]
+            pa, after_inv_a = perms[a], comp[inv[a]]
+            for z in assigned[:i + 1]:
+                b = cols[z]
+                w, s = perms[b][c], comp[comp[inv[b]][a]][b]
+                t = cols[w]
+                if t < 0:
+                    cols[w] = s
+                    assigned.append(w)
+                elif t != s:
+                    return False
+                w, s = pa[z], comp[after_inv_a[b]][a]
+                t = cols[w]
+                if t < 0:
+                    cols[w] = s
+                    assigned.append(w)
+                elif t != s:
+                    return False
+            i += 1
+        return True
+
+    def search():
+        if len(assigned) == n:
+            found.append(tuple(cols))
+            return
+        k = cols.index(-1)
+        mark = len(assigned)
+        images = (k,) if quandles_only else [v for v in range(n) if cols[v] < 0]
+        for p in [p for v in images for p in by_image[k][v]]:
+            cols[k] = p
+            assigned.append(k)
+            if close(mark):
+                search()
+            for c in assigned[mark:]:
+                cols[c] = -1
+            del assigned[mark:]
+
+    search()
+    if not up_to_iso:
+        return found
+    moves = [(comp[inv[p]], p, perms[inv[p]]) for p in range(len(perms))]
+    uncovered = set(found)
+    reps = []
+    for c in found:
+        if c in uncovered:
+            orbit = {tuple([comp[after[c[j]]][p] for j in q]) for after, p, q in moves}
+            uncovered -= orbit
+            reps.append(min(orbit, key=lambda d: tuple(zip(*map(perms.__getitem__, d)))))
+    return reps
+
+
+@pytest.mark.parametrize("quandles_only", [False, True])
+@pytest.mark.parametrize("up_to_iso", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_the_unrestricted_root_search(n, quandles_only, up_to_iso):
+    perms = list(itertools.permutations(range(n)))
+    reference = _rack_columns_unrestricted(perms, quandles_only, up_to_iso)
+    tables = tb.enumerate_racks(n, quandles_only, up_to_iso)
+    assert [t.rows for t in tables] == sorted(tuple(zip(*map(perms.__getitem__, c))) for c in reference)
+    # the tables of one call share equal rows
+    first = {}
+    assert all(first.setdefault(row, row) is row for t in tables for row in t.rows)
+
+
+def _cycle_key(p):
+    """The cycle type of p, sorted, and the length of its cycle through 0."""
+    lengths, seen = [], set()
+    for x in range(len(p)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths)), lengths[0]
+
+
+@pytest.mark.parametrize("n, racks, quandles", [
+    (1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 7, 3), (5, 12, 5), (6, 19, 7),
+])
+def test_roots_are_one_permutation_per_cycle_type_and_length_of_the_cycle_of_0(n, racks, quandles):
+    perms = list(itertools.permutations(range(n)))
+    for quandles_only, count in ((False, racks), (True, quandles)):
+        roots = se._roots(n, quandles_only)
+        assert len(roots) == count
+        keys = [_cycle_key(r) for r in roots]
+        wanted = {_cycle_key(p) for p in perms if p[0] == 0 or not quandles_only}
+        assert len(set(keys)) == len(keys) and set(keys) == wanted
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("quandles_only", [False, True])
+def test_each_permutation_is_conjugate_to_one_root_by_a_permutation_fixing_0(n, quandles_only):
+    # for quandles: each permutation that fixes 0
+    perms = list(itertools.permutations(range(n)))
+    fixing = [s for s in perms if s[0] == 0]
+    classes = []
+    for r in se._roots(n, quandles_only):
+        # s r s^-1 sends s(x) to s(r(x))
+        conjugates = set()
+        for s in fixing:
+            c = [0] * n
+            for x in range(n):
+                c[s[x]] = s[r[x]]
+            conjugates.add(tuple(c))
+        classes.append(conjugates)
+    everything = set(fixing if quandles_only else perms)
+    assert sum(map(len, classes)) == len(everything) and set().union(*classes) == everything
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("quandles_only", [False, True])
+def test_the_coset_expansion_gives_each_labelled_rack_once(n, quandles_only):
+    perms = list(itertools.permutations(range(n)))
+    labelled = se._rack_columns(perms, quandles_only, False)
+    assert len(labelled) == len(set(labelled))
+    counts = (1, 2, 13, 114, 1708, 36538) if not quandles_only else (1, 1, 5, 36, 404, 6658)
+    assert len(labelled) == counts[n - 1]
+
+
 def test_uncapped_search_gives_the_published_order_6_counts():
     # Vojtechovsky and Yang, Enumeration of racks and quandles up to
     # isomorphism (Math. Comp. 2019); order 6 is the cap
@@ -411,9 +550,11 @@ def test_uncapped_search_gives_the_published_order_6_counts():
     start = time.perf_counter()
     assert len(tb.enumerate_racks(6)) == 36538
     assert len(tb.enumerate_racks(6, up_to_iso=True)) == 353
+    assert len(tb.enumerate_racks(6, quandles_only=True)) == 6658
     assert len(tb.enumerate_racks(6, quandles_only=True, up_to_iso=True)) == 73
-    # about 5 s on a 2-vCPU VM; the search on permutation tuples took
-    # 15 s for the labelled racks alone
+    # about 1 s on a 2-vCPU VM; with every permutation a candidate for
+    # S_0 the other three calls took 2.6 s, and the search on permutation
+    # tuples took 15 s for the labelled racks alone
     assert time.perf_counter() - start < 20
 
 
@@ -422,6 +563,14 @@ def test_enumeration_rejects_out_of_range_order():
         tb.enumerate_racks(0)
     with pytest.raises(ValueError, match="outside supported range 1..6"):
         tb.enumerate_racks(7)
+
+
+@pytest.mark.parametrize("build", [tb.enumerate_racks, tb.trivial, tb.dihedral])
+@pytest.mark.parametrize("order, shown", [(True, "True"), (5.0, "5.0"), (2.0, "2.0"), ("3", "'3'")])
+def test_orders_that_are_not_ints_are_refused(build, order, shown):
+    # True used to give the order-1 tables, and 5.0 or "3" a bare TypeError
+    with pytest.raises(ValueError, match=f"^order {shown} is not an int$"):
+        build(order)
 
 
 def test_relabel_preserves_axioms():
