@@ -263,6 +263,9 @@ def enumerate_racks(n: int, quandles_only: bool = False, up_to_iso: bool = False
     _check_order(n)
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"order {_quoted(n)} outside supported range 1..{MAX_ENUM_ORDER}")
+    for name, flag in (("quandles_only", quandles_only), ("up_to_iso", up_to_iso)):
+        if type(flag) is not bool:
+            raise ValueError(f"{name} {_quoted(flag)} is not a bool")
     perms = list(itertools.permutations(range(n)))
     found = _rack_columns(perms, quandles_only, up_to_iso)
     # Each index tuple becomes its rows in place once the composition table

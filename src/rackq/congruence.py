@@ -17,8 +17,8 @@ from __future__ import annotations
 # CongruenceClass and _CLASS_OF live in tables, so that weighted can use
 # them without this module
 from .tables import (
-    _CLASS_OF, CongruenceClass, Record, Table, _homomorphic, _permutation_columns, _quoted,
-    _rack_rows,
+    _CLASS_OF, CongruenceClass, Record, Table, _check_order, _homomorphic, _permutation_columns,
+    _quoted, _rack_rows,
 )
 
 # Partition enumeration is Bell-number growth (Bell(8) = 4140, Bell(9) = 21147).
@@ -98,18 +98,10 @@ def _blocks(blk, k):
 
 def partitions(n: int):
     """All partitions of {0..n-1}, in restricted-growth-string order."""
-    return _completions([0] * n, 1, 0)
-
-
-def _completions(a: list[int], i: int, top: int):
-    """The partitions whose growth strings extend a[:i], whose largest
-    label is top, in growth-string order; a[i:] is overwritten."""
-    if i == len(a):
-        yield Partition._new(tuple(a))
-        return
-    for v in range(top + 2):
-        a[i] = v
-        yield from _completions(a, i + 1, max(top, v))
+    _check_order(n)
+    if n < 1:
+        raise ValueError("partition of the empty set")
+    return (Partition._new(tuple(f)) for f, _ in _labellings([()] * n, (), 0, True, True))
 
 
 def parse_partition(literal: str, order: int) -> Partition:
@@ -222,57 +214,70 @@ def _products_by_last(rows):
     return groups
 
 
+def _labellings(products, cells, width, growth, every):
+    """Each labelling f of 0..n-1, n = len(products) > 0, in lexicographic
+    order, with whether it holds; f is one list, reused.  Labels run over
+    0..width-1, or with growth over restricted growth strings.  Once i has
+    its label, each (x, y, x*y) of products[i] reads the flat cell
+    f(x)*width + f(y): a -1 there takes f(x*y) until i is relabelled, any
+    other value must equal it.  At its first failing product a prefix is
+    dropped, or with every walked on unchecked and yielded as failing.
+    Depth first with an explicit stack, so any n fits."""
+    f, stack, last = [0] * len(products), [], len(products) - 1
+    i, v, end, ok, done, completed = 0, -1, 1 if growth else width, True, [], products[0]
+    leaf = last == 0
+    while True:
+        if done:
+            for c in done:
+                cells[c] = -1
+            done = []
+        v += 1
+        if v == end:
+            if not stack:
+                return
+            i, leaf = i - 1, False
+            v, end, ok, done, completed = stack.pop()
+            continue
+        f[i] = v
+        holds = ok
+        if ok:
+            for x, y, xy in completed:
+                c = f[x] * width + f[y]
+                old = cells[c]
+                if old < 0:
+                    cells[c] = f[xy]
+                    done.append(c)
+                elif old != f[xy]:
+                    holds = False
+                    break
+            if not (holds or every):
+                continue
+        if leaf:
+            yield f, holds
+        else:
+            stack.append((v, end, ok, done, completed))
+            i += 1
+            if growth and v + 2 > end:
+                end = v + 2
+            v, ok, done, completed, leaf = -1, holds, [], products[i], i == last
+
+
 def enumerate_congruences(r: Table) -> list[tuple[Partition, CongruenceClass]]:
     """Every partition of the elements with its classification, in
-    restricted-growth-string order.
-
-    A depth-first search over restricted growth strings: partitions that
-    share a prefix share the block cells the prefix decides.  When
-    element i gets its block, the products of * completed at i set or
-    check their cell of the one block table.  A conflict makes the whole
-    subtree Neither, and fills no more cells there; every other leaf is
-    Both, since respecting * decides *' on a finite rack.
-    """
+    restricted-growth-string order: _labellings over growth strings,
+    learning the one block table, so partitions that share a prefix share
+    the block cells it decides.  A conflict makes the whole subtree
+    Neither; every other leaf is Both, since respecting * decides *' on a
+    finite rack."""
     if r.order > MAX_CONGRUENCE_ORDER:
         raise ValueError(
             f"order {r.order} > {MAX_CONGRUENCE_ORDER}: partition count is Bell-number growth"
         )
     rows = _rack_rows(r)
     n = len(rows)
-    products = _products_by_last(rows)
-    cells = [-1] * (n * n)
-    blk = [0] * n
-    out: list[tuple[Partition, CongruenceClass]] = []
     partition = Partition._new
-
-    def search(i: int, top: int, ok: bool) -> None:
-        completed, last = products[i], i + 1 == n
-        for v in range(top + 2):
-            blk[i] = v
-            holds, done = ok, []
-            if ok:
-                for x, y, xy in completed:
-                    c = blk[x] * n + blk[y]
-                    old = cells[c]
-                    if old < 0:
-                        cells[c] = blk[xy]
-                        done.append(c)
-                    elif old != blk[xy]:
-                        holds = False
-                        break
-            if last:
-                out.append((partition(tuple(blk)), _BY_PRIMARY[holds]))
-            else:
-                search(i + 1, max(top, v), holds)
-            for c in done:
-                cells[c] = -1
-
-    search(0, -1, True)
-    # search refers to itself through its closure cell, a cycle that would
-    # keep the cell table and the result list allocated until the next
-    # cyclic collection; deleting the name clears the cell and frees them.
-    del search
-    return out
+    return [(partition(tuple(f)), _BY_PRIMARY[holds]) for f, holds
+            in _labellings(_products_by_last(rows), [-1] * (n * n), n, True, True)]
 
 
 def congruences_report(r: Table) -> list[dict]:
@@ -336,16 +341,14 @@ def is_homomorphism(f: FiniteMap, r: Table, s: Table) -> bool:
 
 def find_homomorphisms(r: Table, s: Table) -> list[FiniteMap]:
     """Every homomorphism, in lexicographic order of images; ValueError
-    unless both tables are right invertible.  Image prefixes grow breadth
-    first; once element i has its image, the products of r completed at i
-    (_products_by_last) are checked, and a prefix that fails is dropped."""
+    unless both tables are right invertible.  _labellings over images,
+    with s's table as the cells: once i has its image, the products of r
+    completed at i are checked, and a prefix that fails is dropped."""
     _permutation_columns(r.rows)
     _permutation_columns(s.rows)
-    target, prefixes = s.rows, [()]
-    for completed in _products_by_last(r.rows):
-        prefixes = [f for g in prefixes for v in range(s.order) for f in [g + (v,)]
-                    if all(f[xy] == target[f[x]][f[y]] for x, y, xy in completed)]
-    return [FiniteMap._new(r.order, s.order, f) for f in prefixes]
+    m, cells = s.order, [v for row in s.rows for v in row]
+    return [FiniteMap._new(r.order, m, tuple(f)) for f, _ in
+            _labellings(_products_by_last(r.rows), cells, m, False, False)]
 
 
 def kernel_partition(f: FiniteMap, r: Table, s: Table) -> Partition:

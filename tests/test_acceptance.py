@@ -40,12 +40,15 @@ def _order6_classes():
 
 def test_criterion_1_no_half_congruences_on_small_racks():
     # the two-sided search, which checks each partition on both
-    # operations; rackq's own search decides by * alone on this theorem
+    # operations; rackq's own search decides by * alone on this theorem,
+    # and must give the same classes on every rack checked
     counts = []
     for racks in (_racks_up_to(5), _order6_classes()):
         checked = 0
         for rack in racks:
-            for _, cls in two_sided.search(rack):
+            classes = two_sided.search(rack)
+            assert cg.enumerate_congruences(rack) == classes
+            for _, cls in classes:
                 assert cls in (CC.BOTH, CC.NEITHER)
                 checked += 1
         counts.append(checked)

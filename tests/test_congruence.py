@@ -56,6 +56,30 @@ def test_partitions_come_in_growth_string_order():
     assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "partition of the empty set"), (-1, "partition of the empty set"),
+    (2.0, "order 2.0 is not an int"), (True, "order True is not an int"),
+])
+def test_partitions_of_no_elements_or_of_a_non_int_order_are_refused(n, message):
+    # 0 and -1 used to raise a bare IndexError; the message is that of
+    # Partition(()), and that of the other builders for a non-int order
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cg.partitions(n)
+
+
+def test_partitions_of_a_deep_domain_start_lazily_with_one_block():
+    # the search keeps its own stack: a recursive one passed Python's
+    # 1,000-frame limit here
+    first = next(iter(cg.partitions(1500)))
+    assert first.order == 1500 and first.num_blocks == 1
+
+
+def test_homomorphisms_from_a_deep_domain():
+    # 1,100 elements, a labelling search 1,100 levels deep
+    maps = cg.find_homomorphisms(tb.trivial(1100), tb.trivial(1))
+    assert [f.image for f in maps] == [(0,) * 1100]
+
+
 def test_partition_literal_roundtrip():
     p = cg.parse_partition("0,2|1,3", 4)
     assert p == PARITY

@@ -573,6 +573,19 @@ def test_orders_that_are_not_ints_are_refused(build, order, shown):
         build(order)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("no",), "quandles_only 'no' is not a bool"),
+    ((1,), "quandles_only 1 is not a bool"),
+    ((False, [0]), r"up_to_iso \[0\] is not a bool"),
+    ((None, True), "quandles_only None is not a bool"),
+])
+def test_enumeration_flags_that_are_not_bools_are_refused(flags, message):
+    # the flags used to be tested for truth only, so "no" gave the 36
+    # quandles of order 4 and [0] its 19 classes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tb.enumerate_racks(4, *flags)
+
+
 def test_relabel_preserves_axioms():
     t = tb.dihedral(4)
     for p in itertools.permutations(range(4)):
